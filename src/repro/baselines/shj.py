@@ -33,7 +33,7 @@ from repro.core.base import CandidateGroup, JoinStats
 from repro.core.framework import SignatureJoinBase
 from repro.errors import AlgorithmError
 from repro.governance.policy import governor
-from repro.kernels import KernelBackend, SignaturePack, get_backend
+from repro.kernels import SignaturePack
 from repro.relations.relation import Relation
 from repro.signatures.bitmap import bit_segment
 
@@ -120,7 +120,6 @@ class SHJ(SignatureJoinBase):
         self.partial_bits = 0
         self.buckets: dict[int, list[_Entry]] = {}
         self.bucket_packs: dict[int, SignaturePack] = {}
-        self._kernel: KernelBackend | None = None
 
     def _choose_bits(self, r: Relation | None, s: Relation) -> int:
         if self.requested_bits is not None:
@@ -159,10 +158,8 @@ class SHJ(SignatureJoinBase):
         self.buckets = buckets
         # Pack each bucket's full signatures once: probing then filters a
         # whole bucket with one kernel call instead of a per-entry loop.
-        # The backend is captured here so the index stays internally
-        # consistent even if the process default changes later.
-        kernel = get_backend()
-        self._kernel = kernel
+        kernel = self.kernel
+        assert kernel is not None
         self.bucket_packs = {
             key: kernel.pack_signatures([e.signature for e in bucket], bits)
             for key, bucket in buckets.items()
@@ -184,7 +181,7 @@ class SHJ(SignatureJoinBase):
         mask = bit_segment(signature, 0, self.partial_bits, bits)
         buckets = self.buckets
         packs = self.bucket_packs
-        kernel = self._kernel
+        kernel = self.kernel
         assert kernel is not None
         filter_batch = kernel.filter_subset_batch
         enumerations = 0

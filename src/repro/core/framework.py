@@ -9,9 +9,12 @@ Patricia trie for PTSJ/Algorithm 5).
 
 :class:`SignatureJoinBase` is that skeleton.  Subclasses provide the index
 (:meth:`_build_index`) and the subset enumeration
-(:meth:`_enumerate_groups`); the shared :class:`SignaturePreparedIndex`
-implements lines 4–8 of Algorithm 1 as a streaming per-record probe,
-including the merge-identical-sets output expansion (Sec. III-E1).
+(:meth:`_enumerate_groups`, plus an optional set-at-a-time
+:meth:`_enumerate_batch`); the shared :class:`SignaturePreparedIndex`
+implements lines 4–8 of Algorithm 1 — a streaming per-record
+:meth:`~SignaturePreparedIndex.probe` and a batch filter-then-verify
+``probe_many`` — including the merge-identical-sets output expansion
+(Sec. III-E1).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.core.base import (
     PreparedIndex,
     SetContainmentJoin,
 )
-from repro.governance.policy import governor
+from repro.governance.policy import Governor, governor
 from repro.kernels import KernelBackend, SignaturePack, get_backend
 from repro.obs.tracer import current_tracer
 from repro.obs.clock import perf_counter
@@ -53,7 +56,7 @@ def insert_into_groups(groups: list[CandidateGroup], record: SetRecord) -> None:
 
 
 class SignaturePreparedIndex(PreparedIndex):
-    """A prepared signature index: Algorithm 1's probe loop, streamed.
+    """A prepared signature index: Algorithm 1's probe loop.
 
     Holds a snapshot of the algorithm instance taken right after the build,
     so the index stays valid even if the originating algorithm object later
@@ -63,11 +66,9 @@ class SignaturePreparedIndex(PreparedIndex):
     def __init__(self, algorithm: "SignatureJoinBase", relation: Relation) -> None:
         super().__init__(algorithm.name, relation)
         self._algorithm = algorithm
-        # Relation-wide packed signatures, filled in by ``_prepare`` right
-        # after the build (one kernel pack shared by every probe batch).
-        self._kernel: KernelBackend | None = None
-        self._signature_pack: SignaturePack | None = None
-        self._pack_rids: tuple[int, ...] = ()
+        # (pack, rids) of the whole relation, built on the first
+        # scan_candidates/scan_superset_candidates call; joins never read it.
+        self._scan: tuple[SignaturePack, tuple[int, ...]] | None = None
 
     @property
     def scheme(self) -> SignatureScheme:
@@ -98,75 +99,72 @@ class SignaturePreparedIndex(PreparedIndex):
                     yield from group.ids
 
     def _probe_all(self, r: Relation, stats: JoinStats) -> list[tuple[int, int]]:
-        """Batch probe; when a tracer is active, split filter from verify.
+        """Algorithm 1 lines 4–8 for a whole relation: filter, then verify.
 
-        The paper's Sec. III-C cost model separates the subset-enumeration
-        cost (``V·|R|`` node visits) from the verification cost
-        (``N·|R|`` exact set comparisons); under an active tracer this
-        override times the two aggregates separately and reports them as
-        ``signature_filter`` / ``verify`` child spans of ``probe``.  The
-        un-traced path takes the base class's streaming loop untouched —
-        both paths emit identical pairs (in the same order) and identical
-        counters, which ``tests/test_differential.py`` locks in.
+        The filter phase hashes every probe record and hands all the
+        signatures to the algorithm's batch enumeration (PTSJ walks its
+        Patricia trie once per block of probes); the verify phase then
+        compares each probe's candidate groups in R order.  Pairs come
+        out in the order per-record :meth:`probe` calls would emit them,
+        with identical counters.
+
+        The paper's Sec. III-C cost model separates these two costs
+        (``V·|R|`` node visits vs. ``N·|R|`` set comparisons); under an
+        active tracer the phases are reported as the ``signature_filter``
+        and ``verify`` child spans of ``probe``.
         """
-        tracer = current_tracer()
-        if not tracer.enabled:
-            return super()._probe_all(r, stats)
-        perf = perf_counter
+        algorithm = self._algorithm
         signature = self.scheme.signature
-        enumerate_groups = self._algorithm._enumerate_groups
-        candidates_before = stats.candidates
+        gov = governor("probe", stats)
         visits_before = stats.node_visits
-        filter_seconds = 0.0
-        verify_seconds = 0.0
-        leaf_hits = 0
+        t0 = perf_counter()
+        signatures: list[int] = []
+        for rec in r:
+            if gov is not None:
+                gov.tick()
+            signatures.append(signature(rec.elements))
+        hits = algorithm._enumerate_batch(signatures, stats, gov)
+        t1 = perf_counter()
         pairs: list[tuple[int, int]] = []
         append = pairs.append
-        gov = governor("probe", stats)
-        for rec in r:
+        candidates = 0
+        for rec, group_lists in zip(r, hits):
             if gov is not None:
                 gov.tick()
             r_set = rec.elements
             r_id = rec.rid
-            t0 = perf()
-            group_lists = list(enumerate_groups(signature(r_set), stats))
-            t1 = perf()
-            filter_seconds += t1 - t0
-            leaf_hits += len(group_lists)
             for groups in group_lists:
+                candidates += len(groups)
                 for group in groups:
-                    stats.candidates += 1
-                    stats.verifications += 1
                     if group.elements <= r_set:
                         for s_id in group.ids:
                             append((r_id, s_id))
-            verify_seconds += perf() - t1
-        # mirror=False: the enclosing probe span already counts these
-        # quantities into the registry; these records only attribute the
-        # per-phase breakdown inside the span tree.
-        tracer.record(
-            "signature_filter",
-            filter_seconds,
-            {
-                "node_visits": stats.node_visits - visits_before,
-                "leaf_hits": leaf_hits,
-            },
-            calls=len(r),
-            mirror=False,
-        )
-        tracer.record(
-            "verify",
-            verify_seconds,
-            {
-                "candidates": stats.candidates - candidates_before,
-                "pairs": len(pairs),
-            },
-            calls=len(r),
-            mirror=False,
-        )
-        if tracer.registry is not None:
-            # leaf_hits has no other registry source.
-            tracer.registry.counter("leaf_hits").inc(leaf_hits)
+        stats.candidates += candidates
+        stats.verifications += candidates
+        t2 = perf_counter()
+        tracer = current_tracer()
+        if tracer.enabled:
+            leaf_hits = sum(len(group_lists) for group_lists in hits)
+            # mirror=False: the enclosing probe span already counts these
+            # quantities into the registry; these records only attribute
+            # the per-phase breakdown inside the span tree.
+            tracer.record(
+                "signature_filter",
+                t1 - t0,
+                {"node_visits": stats.node_visits - visits_before, "leaf_hits": leaf_hits},
+                calls=len(r),
+                mirror=False,
+            )
+            tracer.record(
+                "verify",
+                t2 - t1,
+                {"candidates": candidates, "pairs": len(pairs)},
+                calls=len(r),
+                mirror=False,
+            )
+            if tracer.registry is not None:
+                # leaf_hits has no other registry source.
+                tracer.registry.counter("leaf_hits").inc(leaf_hits)
         return pairs
 
     # ------------------------------------------------------------------
@@ -174,15 +172,27 @@ class SignaturePreparedIndex(PreparedIndex):
     # ------------------------------------------------------------------
     @property
     def kernel(self) -> KernelBackend:
-        """The kernel backend this index was packed with."""
-        assert self._kernel is not None
-        return self._kernel
+        """The kernel backend captured when this index was built."""
+        assert self._algorithm.kernel is not None
+        return self._algorithm.kernel
 
     @property
     def signature_pack(self) -> SignaturePack:
-        """Every indexed record's signature, packed once at prepare time."""
-        assert self._signature_pack is not None
-        return self._signature_pack
+        """Every indexed record's signature, packed on first use."""
+        return self._scan_pack()[0]
+
+    def _scan_pack(self) -> tuple[SignaturePack, tuple[int, ...]]:
+        # Benign idempotent init: concurrent first scans may each build
+        # the pack, but they build equal values and the tuple is bound in
+        # one assignment, so every reader sees a complete (pack, rids).
+        scan = self._scan
+        if scan is None:
+            signature = self.scheme.signature
+            sigs = [signature(rec.elements) for rec in self.relation]
+            rids = tuple(rec.rid for rec in self.relation)
+            scan = (self.kernel.pack_signatures(sigs, self.scheme.bits), rids)
+            self._scan = scan
+        return scan
 
     def scan_candidates(self, record: SetRecord) -> list[int]:
         """Ids of indexed records whose signature ``⊑`` the probe's.
@@ -191,13 +201,12 @@ class SignaturePreparedIndex(PreparedIndex):
         (enumeration-free) form of the signature filter.  The result is a
         superset of what trie/bucket enumeration admits for the same
         probe (enumeration only prunes, never adds), so it serves as a
-        prefilter, a cross-check, and the kernel-speedup benchmark
-        surface.  Does not touch any ``JoinStats`` counters.
+        prefilter and a cross-check.  The first call packs the relation.
+        Does not touch any ``JoinStats`` counters.
         """
+        pack, rids = self._scan_pack()
         sig = self.scheme.signature(record.elements)
-        rows = self.kernel.filter_subset_batch(self.signature_pack, sig)
-        rids = self._pack_rids
-        return [rids[i] for i in rows]
+        return [rids[i] for i in self.kernel.filter_subset_batch(pack, sig)]
 
     def scan_superset_candidates(self, record: SetRecord) -> list[int]:
         """Ids of indexed records whose signature covers the probe's.
@@ -205,10 +214,9 @@ class SignaturePreparedIndex(PreparedIndex):
         The superset-join direction (``probe ⊑ indexed``), batched the
         same way; the candidate prefilter for ``R ⋈⊆ S``.
         """
+        pack, rids = self._scan_pack()
         sig = self.scheme.signature(record.elements)
-        rows = self.kernel.filter_superset_batch(self.signature_pack, sig)
-        rids = self._pack_rids
-        return [rids[i] for i in rows]
+        return [rids[i] for i in self.kernel.filter_superset_batch(pack, sig)]
 
     def memory_objects(self, probe_relation: Relation | None = None) -> list[Any]:
         objs: list[Any] = []
@@ -216,7 +224,11 @@ class SignaturePreparedIndex(PreparedIndex):
             value = getattr(self._algorithm, attr, None)
             if value is not None:
                 objs.append(value)
-        return objs or [self._algorithm]
+        if not objs:
+            objs.append(self._algorithm)
+        if self._scan is not None:
+            objs.append(self._scan)
+        return objs
 
 
 class SignatureJoinBase(SetContainmentJoin):
@@ -242,6 +254,7 @@ class SignatureJoinBase(SetContainmentJoin):
         self.scheme_factory = scheme_factory
         self.length_strategy = length_strategy or SignatureLengthStrategy()
         self.scheme: SignatureScheme | None = None
+        self.kernel: KernelBackend | None = None
 
     # ------------------------------------------------------------------
     # Parameter selection
@@ -281,12 +294,32 @@ class SignatureJoinBase(SetContainmentJoin):
         line 5 — SHJENUM, TRIEENUM or PATRICIAENUM.
         """
 
+    def _enumerate_batch(
+        self, signatures: list[int], stats: JoinStats, gov: Governor | None
+    ) -> list[list[list[CandidateGroup]]]:
+        """:meth:`_enumerate_groups` for many probes: group lists per probe.
+
+        The default enumerates one probe at a time; an index with a
+        set-at-a-time enumeration (PTSJ) overrides it.  Counters and the
+        order of each probe's group lists must equal the per-probe calls.
+        """
+        enumerate_groups = self._enumerate_groups
+        out: list[list[list[CandidateGroup]]] = []
+        for sig in signatures:
+            if gov is not None:
+                gov.tick()
+            out.append(list(enumerate_groups(sig, stats)))
+        return out
+
     # ------------------------------------------------------------------
     # Template body
     # ------------------------------------------------------------------
     def _prepare(self, s: Relation, probe_hint: Relation | None = None) -> PreparedIndex:
         bits = self._choose_bits(probe_hint, s)
         self.scheme = self.scheme_factory(bits)
+        # Captured per build so a resident index keeps the backend it was
+        # built with even if the process default changes later.
+        self.kernel = get_backend()
         build_stats = JoinStats(algorithm=self.name)
         self._build_index(s, build_stats)
         # Snapshot the instance so later prepare() calls (which rebind fresh
@@ -295,19 +328,4 @@ class SignatureJoinBase(SetContainmentJoin):
         index.signature_bits = bits
         index.index_nodes = build_stats.index_nodes
         index.build_extras = dict(build_stats.extras)
-        # Pack the whole relation's signatures once; cached on the index
-        # so every probe batch (and the scan prefilters) reuses it.
-        kernel = get_backend()
-        signature = self.scheme.signature
-        sigs: list[int] = []
-        rids: list[int] = []
-        gov = governor("build", build_stats)
-        for rec in s:
-            if gov is not None:
-                gov.tick()
-            sigs.append(signature(rec.elements))
-            rids.append(rec.rid)
-        index._kernel = kernel
-        index._signature_pack = kernel.pack_signatures(sigs, bits)
-        index._pack_rids = tuple(rids)
         return index

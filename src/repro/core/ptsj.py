@@ -15,9 +15,11 @@ Index side (Algorithm 1 lines 1–3):
     leaf, so each duplicated set costs one comparison total.
 
 Probe side:
-    for each R-tuple, :meth:`PatriciaTrie.subset_leaves` returns the leaves
-    whose signature is contained in the probe signature; each group in each
-    leaf is verified with one exact ``⊆`` check.
+    :meth:`PatriciaTrie.subset_leaves_batch` returns, for every R-tuple of a
+    batch, the leaves whose signature is contained in the probe signature —
+    one trie walk per block of probes rather than one per probe — and each
+    group in each leaf is verified with one exact ``⊆`` check.  A single
+    record probe uses the per-query :meth:`PatriciaTrie.subset_leaves`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterable, Iterator
 
 from repro.core.base import CandidateGroup, JoinStats
 from repro.core.framework import SignatureJoinBase, insert_into_groups
-from repro.governance.policy import governor
+from repro.governance.policy import Governor, governor
 from repro.relations.relation import Relation
 from repro.tries.patricia import PatriciaTrie
 
@@ -88,6 +90,20 @@ class PTSJ(SignatureJoinBase):
         stats.node_visits += trie.visits_last_query
         for leaf in leaves:
             yield leaf.items  # type: ignore[misc]
+
+    def _enumerate_batch(
+        self, signatures: list[int], stats: JoinStats, gov: Governor | None
+    ) -> list[list[list[CandidateGroup]]]:
+        """Set-at-a-time PATRICIAENUM: one trie walk per block of probes."""
+        trie = self.trie
+        assert trie is not None and self.kernel is not None
+        hits, visits = trie.subset_leaves_batch(
+            signatures,
+            self.kernel.transpose_signatures,
+            None if gov is None else gov.tick,
+        )
+        stats.node_visits += visits
+        return [[leaf.items for leaf in leaves] for leaves in hits]  # type: ignore[misc]
 
     # ------------------------------------------------------------------
     # Index reuse (Sec. III-E2/E3 build on the same trie)

@@ -1,8 +1,9 @@
 """Swappable batch probe kernels behind a backend registry.
 
-The per-record Python probe loop is the system's hot path; this package
-factors its two inner operations — batch signature containment filters
-and sorted posting-list intersection — into a small ABI
+The probe loop is the system's hot path; this package factors its inner
+operations — batch signature containment filters, sorted posting-list
+intersection, and the probe-block transposition behind PTSJ's
+set-at-a-time trie walk — into a small ABI
 (:class:`~repro.kernels.base.KernelBackend`) with interchangeable
 implementations:
 

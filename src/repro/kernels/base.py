@@ -11,12 +11,12 @@ relation) for a probe record instead of a per-candidate Python loop.
 The ABI is deliberately small:
 
 ``pack_signatures(signatures, bits)``
-    Pre-process a relation's (or bucket's) signatures once, at index
-    build time, into whatever layout the backend filters fastest —
-    a plain tuple for the pure-Python backend, a packed ``uint64``
-    matrix for the numpy backend.  The resulting
-    :class:`SignaturePack` is cached on the prepared index and reused
-    by every probe.
+    Pre-process a relation's (or bucket's) signatures once into
+    whatever layout the backend filters fastest — a plain tuple for the
+    pure-Python backend, a packed ``uint64`` matrix for the numpy
+    backend.  The resulting :class:`SignaturePack` is cached by its
+    owner (an SHJ bucket, a prepared index's scan pack) and reused by
+    every probe.
 
 ``filter_subset_batch(pack, probe)`` / ``filter_superset_batch(pack, probe)``
     Return the *indices* (ascending) of packed signatures that pass the
@@ -32,6 +32,14 @@ The ABI is deliberately small:
     Intersection of two strictly-increasing integer sequences — the
     PRETTI-family refinement step.  The adaptive gallop/merge crossover
     policy ("Fast Set Intersection in Memory") lives behind this call.
+
+``transpose_signatures(signatures, bits)``
+    Turn a block of probe signatures into one bitset per logical bit
+    position — the input of PTSJ's set-at-a-time Patricia walk.  Unlike
+    the five operations above it is a *concrete* method whose body is
+    the pure-Python reference, so a backend written against the
+    five-operation ABI (a timing proxy, a third-party registration)
+    keeps working unchanged; backends override it only to go faster.
 
 Parity contract
 ---------------
@@ -133,6 +141,27 @@ class KernelBackend(ABC):
     @abstractmethod
     def intersect_sorted(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Intersect two strictly-increasing integer sequences."""
+
+    # ------------------------------------------------------------------
+    # Probe-block kernel
+    # ------------------------------------------------------------------
+    def transpose_signatures(self, signatures: Sequence[int], bits: int) -> list[int]:
+        """Column bitsets of a block of ``bits``-wide signatures.
+
+        Returns ``bits`` ints; bit ``p`` of ``columns[j]`` is set iff
+        signature ``p`` has logical (MSB-first) position ``j`` set, i.e.
+        int bit ``bits - 1 - j``.  Every signature must already fit in
+        ``bits`` (callers validate).  This body is the reference every
+        override must match bit-for-bit.
+        """
+        columns = [0] * bits
+        for p, sig in enumerate(signatures):
+            probe_bit = 1 << p
+            while sig:
+                low = sig & -sig
+                columns[bits - low.bit_length()] |= probe_bit
+                sig ^= low
+        return columns
 
     # ------------------------------------------------------------------
     # Identity / pickling

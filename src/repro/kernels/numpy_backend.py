@@ -122,6 +122,24 @@ class NumpyKernel(KernelBackend):
         counts = np.bitwise_count(pack.matrix)
         return counts.sum(axis=1, dtype=np.int64).tolist()
 
+    def transpose_signatures(self, signatures: Sequence[int], bits: int) -> list[int]:
+        # One byte row per signature -> one bit column per logical
+        # position (unpackbits is MSB-first, matching the logical order),
+        # then each column packed little-endian so probe ``p`` is int bit
+        # ``p`` of ``int.from_bytes``.
+        if not signatures:
+            return [0] * bits
+        np = self._np
+        nbytes = (bits + 7) // 8
+        buf = b"".join(sig.to_bytes(nbytes, "big") for sig in signatures)
+        rows = np.frombuffer(buf, dtype=np.uint8).reshape(len(signatures), nbytes)
+        flags = np.unpackbits(rows, axis=1)[:, nbytes * 8 - bits:]
+        packed = np.packbits(flags.T, axis=1, bitorder="little")
+        width = packed.shape[1]
+        raw = packed.tobytes()
+        from_bytes = int.from_bytes
+        return [from_bytes(raw[j * width:(j + 1) * width], "little") for j in range(bits)]
+
     def intersect_sorted(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         if not a or not b:
             return []

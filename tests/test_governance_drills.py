@@ -33,9 +33,12 @@ from repro.errors import (
     CancelledError,
     DeadlineExceededError,
 )
+from repro.core.ptsj import PTSJ
 from repro.governance import CancelToken, Deadline, GovernancePolicy, govern
 from repro.obs import Tracer, use
+from repro.obs.clock import monotonic
 from repro.testing.faults import CountdownCancelToken, SkewedClock, SteppingSampler
+from repro.tries.patricia import SUBSET_BATCH_BLOCK, PatriciaTrie
 from tests.conftest import oracle_pairs, random_relation
 
 #: Optional start-method override so CI can drill both fork and spawn.
@@ -178,6 +181,64 @@ def test_cancel_after_instant_travels_by_value(rs_pair):
         with pytest.raises(CancelledError, match="cancel_after budget elapsed"):
             make_executor("parallel").join(r, s)
     assert_no_orphans()
+
+
+# ----------------------------------------------------------------------
+# Batched PTSJ probe: the set-at-a-time walk stays interruptible
+# ----------------------------------------------------------------------
+class ExpiringClock:
+    """Monotonic time that jumps past any deadline after ``readings`` reads."""
+
+    def __init__(self, readings: int) -> None:
+        self.readings = readings
+
+    def __call__(self) -> float:
+        self.readings -= 1
+        return monotonic() + (0.0 if self.readings > 0 else 1e6)
+
+
+@pytest.fixture
+def walk_spy(monkeypatch):
+    """Records entries into the batched trie walk and what escaped it."""
+    state: dict = {"entered": 0, "raised": None}
+    walk = PatriciaTrie.subset_leaves_batch
+
+    def spy(self, *args, **kwargs):
+        state["entered"] += 1
+        try:
+            return walk(self, *args, **kwargs)
+        except Exception as exc:
+            state["raised"] = exc
+            raise
+
+    monkeypatch.setattr(PatriciaTrie, "subset_leaves_batch", spy)
+    return state
+
+
+@pytest.mark.parametrize("fault", ["deadline", "cancel"])
+def test_batched_ptsj_probe_stops_mid_walk(fault, walk_spy, sanitized_tracer):
+    r = random_relation(SUBSET_BATCH_BLOCK + 500, 12, 60, seed=711)
+    s = random_relation(400, 5, 60, seed=712)
+    index = PTSJ().prepare(s)  # built ungoverned: only probe polls count
+    # With poll_interval=1 the filter phase polls once per probe record
+    # while hashing, then once per trie node popped: the trip lands 50
+    # polls into the first block's walk.
+    polls = len(r) + 50
+    if fault == "deadline":
+        # One clock reading for Deadline.after, then one per poll.
+        deadline = Deadline.after(600.0, clock=ExpiringClock(polls + 1))
+        policy = GovernancePolicy(deadline=deadline, poll_interval=1)
+        error = DeadlineExceededError
+    else:
+        token = CountdownCancelToken(after_checks=polls)
+        policy = GovernancePolicy(cancel=token, poll_interval=1)
+        error = CancelledError
+    with govern(policy):
+        with pytest.raises(error):
+            index.probe_many(r)
+    assert walk_spy["entered"] == 1
+    assert isinstance(walk_spy["raised"], error)
+    assert index.trie.node_count() > 50
 
 
 # ----------------------------------------------------------------------

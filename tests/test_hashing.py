@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import SignatureError
 from repro.signatures.bitmap import is_subset_sig, sig_to_bits
-from repro.signatures.hashing import ModuloScheme, ScrambleScheme, signature_of
+from repro.signatures.hashing import (
+    ModuloScheme,
+    ScrambleScheme,
+    SignatureScheme,
+    signature_of,
+)
 
 
 class TestModuloScheme:
@@ -21,6 +28,12 @@ class TestModuloScheme:
 
     def test_empty_set_is_zero(self):
         assert ModuloScheme(8).signature(frozenset()) == 0
+
+    @given(elements=st.frozensets(st.integers(0, 10_000), max_size=80),
+           bits=st.integers(1, 600))
+    def test_inlined_fold_equals_generic_fold(self, elements, bits):
+        scheme = ModuloScheme(bits)
+        assert scheme.signature(elements) == SignatureScheme.signature(scheme, elements)
 
     def test_signature_fits_width(self):
         scheme = ModuloScheme(16)

@@ -2,16 +2,21 @@
 
 Covers the registry (registration, selection order, the ``REPRO_KERNEL``
 override, error paths), the ABI parity contract between the ``python``
-and ``numpy`` backends, pickling-by-name, the relation-wide signature
-pack on prepared indexes, and the posting-list-ordered ``refine_many``.
+and ``numpy`` backends, the concrete ``transpose_signatures`` default,
+pickling-by-name, the lazily built relation-wide signature pack on
+prepared indexes, and the posting-list-ordered ``refine_many``.
 """
 
 from __future__ import annotations
 
 import pickle
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import kernels
 from repro.core.registry import make_algorithm
@@ -189,6 +194,63 @@ def test_filter_semantics_are_positional():
         assert backend.filter_superset_batch(pack, 0b0011) == [1, 2, 4]
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), bits=st.sampled_from([1, 7, 8, 9, 63, 64, 65, 120, 300]))
+def test_transpose_signatures_parity(data, bits):
+    sig = st.one_of(st.sampled_from([0, (1 << bits) - 1]),
+                    st.integers(0, (1 << bits) - 1))
+    sigs = data.draw(st.lists(sig, max_size=70))
+    reference = get_backend("python").transpose_signatures(sigs, bits)
+    assert len(reference) == bits
+    for j, column in enumerate(reference):
+        assert column == sum(
+            1 << p for p, s in enumerate(sigs) if (s >> (bits - 1 - j)) & 1
+        )
+    for name in BACKENDS:
+        assert get_backend(name).transpose_signatures(sigs, bits) == reference
+
+
+class _FiveOpKernel(KernelBackend):
+    """A backend written against the five-operation ABI only."""
+
+    name = "five-op"
+
+    def __init__(self) -> None:
+        self.inner = PythonKernel()
+
+    def pack_signatures(self, signatures, bits):
+        return self.inner.pack_signatures(signatures, bits)
+
+    def filter_subset_batch(self, pack, probe):
+        return self.inner.filter_subset_batch(pack, probe)
+
+    def filter_superset_batch(self, pack, probe):
+        return self.inner.filter_superset_batch(pack, probe)
+
+    def popcount_batch(self, pack):
+        return self.inner.popcount_batch(pack)
+
+    def intersect_sorted(self, a, b):
+        return self.inner.intersect_sorted(a, b)
+
+
+def test_five_operation_backend_still_runs_joins(monkeypatch):
+    # transpose_signatures is concrete on the base class, so a backend
+    # predating it constructs and runs the batched PTSJ probe unchanged.
+    monkeypatch.setattr(kernels, "_factories", dict(kernels._factories))
+    monkeypatch.setattr(kernels, "_instances", dict(kernels._instances))
+    register_backend("five-op", _FiveOpKernel)
+    s = small_relation()
+    r = small_relation(start_id=100)
+    with use_backend("python"):
+        expected = make_algorithm("ptsj").join(r, s)
+    with use_backend("five-op"):
+        result = make_algorithm("ptsj").join(r, s)
+    assert result.stats.extras["kernel_backend"] == "five-op"
+    assert result.pairs == expected.pairs
+    assert result.stats.node_visits == expected.stats.node_visits
+
+
 @pytest.mark.parametrize("sizes", [(0, 0), (0, 5), (5, 0), (3, 200), (200, 3),
                                    (50, 50), (1, 1)])
 def test_intersect_sorted_parity(sizes):
@@ -247,6 +309,49 @@ def small_relation(start_id: int = 0) -> Relation:
     return Relation(
         [SetRecord(start_id + i, elements) for i, elements in enumerate(sets)]
     )
+
+
+@pytest.mark.parametrize("algorithm", ["ptsj", "shj", "tsj", "mwtsj"])
+def test_signature_pack_is_built_on_first_scan(algorithm):
+    s = small_relation()
+    index = make_algorithm(algorithm).prepare(s)
+    before = index.memory_objects()
+    index.probe_many(small_relation(start_id=100))
+    assert index._scan is None  # joins never pack the relation
+    index.scan_candidates(SetRecord(999, frozenset({1, 2})))
+    pack = index.signature_pack
+    assert len(pack) == len(s)
+    assert index.memory_objects() == before + [index._scan]
+    assert index.signature_pack is pack  # built once
+
+
+def test_concurrent_first_scans_agree():
+    # More threads than cores and a tiny switch interval, so first scans
+    # race to build the pack; every thread must still see a whole pack.
+    s = small_relation()
+    index = make_algorithm("ptsj").prepare(s)
+    probe = SetRecord(999, frozenset({1, 2, 3}))
+    expected = make_algorithm("ptsj").prepare(s).scan_candidates(probe)
+    barrier = threading.Barrier(8)
+    results: list[list[int]] = []
+
+    def scan() -> None:
+        barrier.wait(timeout=10)
+        results.append(index.scan_candidates(probe))
+
+    threads = [threading.Thread(target=scan) for _ in range(8)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    assert results == [expected] * 8
+    assert len(index.signature_pack) == len(s)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -5,9 +5,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SignatureError, TrieError
+from repro.kernels import available_backends, get_backend
 from repro.signatures.bitmap import bits_to_sig
+from repro.tries import patricia
 from repro.tries.patricia import PatriciaTrie
 
 
@@ -256,3 +260,85 @@ class TestLargeSignatures:
         query = sigs[0] | sigs[1]
         found = {leaf.signature for leaf in trie.subset_leaves(query)}
         assert found == brute_subsets(sigs, query)
+
+
+# ----------------------------------------------------------------------
+# Set-at-a-time PATRICIAENUM
+# ----------------------------------------------------------------------
+BATCH_BITS = 12
+batch_signatures = st.integers(min_value=0, max_value=(1 << BATCH_BITS) - 1)
+#: All-zero and all-one signatures are drawn often: they are the edge
+#: cases of the column bitsets (empty and full columns).
+edge_signatures = st.one_of(
+    st.sampled_from([0, (1 << BATCH_BITS) - 1]), batch_signatures
+)
+
+
+def per_query(trie: PatriciaTrie, queries: list[int]) -> tuple[list[list], int]:
+    leaves = []
+    visits = 0
+    for query in queries:
+        leaves.append(trie.subset_leaves(query))
+        visits += trie.visits_last_query
+    return leaves, visits
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("block", [1, 3, patricia.SUBSET_BATCH_BLOCK])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stored=st.lists(edge_signatures, max_size=30),
+       queries=st.lists(edge_signatures, max_size=20))
+def test_subset_leaves_batch_matches_per_query(monkeypatch, backend, block,
+                                               stored, queries):
+    # Small blocks make most drawn batches span several blocks.
+    monkeypatch.setattr(patricia, "SUBSET_BATCH_BLOCK", block)
+    trie = build(BATCH_BITS, stored)
+    expected, expected_visits = per_query(trie, queries)
+    leaves, visits = trie.subset_leaves_batch(
+        queries, get_backend(backend).transpose_signatures
+    )
+    assert leaves == expected  # same leaves, same order, per query
+    assert visits == expected_visits == trie.visits_last_query
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_subset_leaves_batch_larger_than_one_block(backend):
+    bits = 40
+    stored = random_signatures(300, bits, 0.3, seed=31)
+    queries = random_signatures(patricia.SUBSET_BATCH_BLOCK + 37, bits, 0.6, seed=32)
+    queries[:3] = [0, (1 << bits) - 1, stored[0]]
+    trie = build(bits, stored)
+    expected, expected_visits = per_query(trie, queries)
+    leaves, visits = trie.subset_leaves_batch(
+        queries, get_backend(backend).transpose_signatures
+    )
+    assert leaves == expected
+    assert visits == expected_visits
+    assert any(leaves[patricia.SUBSET_BATCH_BLOCK:])  # second block found hits
+
+
+def test_subset_leaves_batch_empty_inputs():
+    transpose = get_backend("python").transpose_signatures
+    assert PatriciaTrie(8).subset_leaves_batch([0, 0xFF], transpose) == ([[], []], 0)
+    trie = build(8, [0b1010, 0b0110])
+    assert trie.subset_leaves_batch([], transpose) == ([], 0)
+    assert trie.visits_last_query == 0
+
+
+def test_subset_leaves_batch_validates_every_signature():
+    trie = build(8, [0b1010])
+    transpose = get_backend("python").transpose_signatures
+    with pytest.raises(SignatureError):
+        trie.subset_leaves_batch([0b1, 1 << 8], transpose)
+
+
+def test_subset_leaves_batch_ticks_per_popped_node():
+    trie = build(16, random_signatures(50, 16, 0.4, seed=33))
+    ticks = []
+    trie.subset_leaves_batch(
+        [(1 << 16) - 1], get_backend("python").transpose_signatures,
+        lambda: ticks.append(1),
+    )
+    # An all-ones query survives every node, so the walk pops them all.
+    assert len(ticks) == trie.node_count()

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.base import JoinStats
 from repro.core.ptsj import PTSJ
+from repro.kernels import available_backends, use_backend
 from repro.relations.relation import Relation
+from repro.tries import patricia
 from tests.conftest import TABLE1_EXPECTED, oracle_pairs, random_relation
 
 
@@ -112,3 +117,49 @@ class TestStatsAndExtension:
         long = PTSJ(bits=512).join(r, s).stats
         assert long.candidates < short.candidates
         assert long.pairs == short.pairs
+
+
+def per_record_join(index, r: Relation) -> tuple[list[tuple[int, int]], JoinStats]:
+    """The reference for ``probe_many``: one streaming ``probe`` per record."""
+    stats = JoinStats()
+    pairs = [(rec.rid, s_id) for rec in r for s_id in index.probe(rec, stats)]
+    return pairs, stats
+
+
+class TestBatchedProbe:
+    """``probe_many`` walks the trie once per probe block; ``probe`` once per
+    record.  Both must emit the same pairs in the same order, with the same
+    counters."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r_sets=st.lists(st.frozensets(st.integers(0, 40), max_size=10), max_size=30),
+        s_sets=st.lists(st.frozensets(st.integers(0, 40), max_size=6), max_size=30),
+        bits=st.integers(1, 48),
+    )
+    def test_probe_many_equals_probe_loop(self, backend, r_sets, s_sets, bits):
+        r = Relation.from_sets(r_sets)
+        s = Relation.from_sets(s_sets, start_id=1000)
+        with use_backend(backend):
+            index = PTSJ(bits=bits).prepare(s)
+        result = index.probe_many(r)
+        pairs, stats = per_record_join(index, r)
+        assert result.pairs == pairs
+        assert result.stats.candidates == stats.candidates
+        assert result.stats.verifications == stats.verifications
+        assert result.stats.node_visits == stats.node_visits
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_probe_many_spanning_blocks(self, backend, monkeypatch):
+        monkeypatch.setattr(patricia, "SUBSET_BATCH_BLOCK", 16)
+        r = random_relation(100, 10, 40, seed=75)
+        s = random_relation(120, 5, 40, seed=76)
+        with use_backend(backend):
+            index = PTSJ().prepare(s)
+        result = index.probe_many(r)
+        pairs, stats = per_record_join(index, r)
+        assert result.pairs == pairs
+        assert set(pairs) == oracle_pairs(r, s)
+        assert (result.stats.candidates, result.stats.node_visits) == \
+            (stats.candidates, stats.node_visits)
