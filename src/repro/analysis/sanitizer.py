@@ -14,7 +14,8 @@ raise :class:`~repro.errors.SanitizerError` naming the violating node path
   ``probe_calls`` strictly monotone, ``reused_index`` consistent,
   cumulative counters non-decreasing.
 * :class:`repro.index.inverted.InvertedIndex` — postings sorted and
-  consistent at construction.
+  consistent at construction, and the posting bitsets a PRETTI+ walk
+  built consistent with their postings after the walk.
 * :class:`repro.extensions.set_index.PatriciaSetIndex` — full trie
   re-validation after every ``add``/``discard``.
 * :func:`repro.planner.executor.execute_plan` — the plan is a frozen value
@@ -253,21 +254,33 @@ def check_set_patricia_trie(trie: SetPatriciaTrie) -> None:
 # ----------------------------------------------------------------------
 def check_inverted_index(index: Any) -> None:
     """Postings lists and ``all_ids`` must be strictly ascending, and every
-    posting must reference a known tuple id."""
+    posting must reference a known tuple id.  Every posting bitset built so
+    far must hold exactly the ranks (positions in ``all_ids``) of its
+    element's postings."""
     all_ids = index.all_ids
     for i in range(1, len(all_ids)):
         if all_ids[i] <= all_ids[i - 1]:
             _fail(f"all_ids not strictly ascending at index {i} "
                   f"({all_ids[i - 1]} then {all_ids[i]})", f"all_ids[{i}]")
-    known = set(all_ids)
+    rank_of = {rid: p for p, rid in enumerate(all_ids)}
     for element, postings in index.lists.items():
         for i, rid in enumerate(postings):
             if i and rid <= postings[i - 1]:
                 _fail(f"postings for element {element} not strictly "
                       f"ascending at index {i}", f"postings[{element}][{i}]")
-            if rid not in known:
+            if rid not in rank_of:
                 _fail(f"postings for element {element} reference unknown "
                       f"tuple id {rid}", f"postings[{element}][{i}]")
+    for element, bits in getattr(index, "posting_bitsets", {}).items():
+        postings = index.lists.get(element, [])
+        path = f"posting_bitsets[{element}]"
+        if bits.bit_count() != len(postings):
+            _fail(f"posting bitset for element {element} has "
+                  f"{bits.bit_count()} bits for {len(postings)} postings", path)
+        for rid in postings:
+            if not bits >> rank_of[rid] & 1:
+                _fail(f"posting bitset for element {element} misses tuple id "
+                      f"{rid} (rank {rank_of[rid]})", path)
 
 
 # ----------------------------------------------------------------------

@@ -22,16 +22,24 @@ overall winner for low-cardinality datasets (Figs. 6c–6d, 7c, 8).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Iterator
 
+from repro.analysis.sanitizer import maybe_check_inverted_index
 from repro.core.base import JoinStats, PreparedIndex, SetContainmentJoin
 from repro.governance.policy import governor
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import InvertedIndex, bitset_ranks
 from repro.obs.tracer import current_tracer
 from repro.relations.relation import Relation, SetRecord
 from repro.tries.set_patricia import SetPatriciaTrie
 
-__all__ = ["PRETTIPlus", "PrettiPlusPreparedIndex"]
+__all__ = ["PRETTIPlus", "PrettiPlusPreparedIndex", "SPARSE_DIVISOR", "sparse_bound"]
+
+#: A batch over ``n`` R-tuples carries candidates as a sorted rank list once
+#: at most ``n // SPARSE_DIVISOR`` remain, and as a rank bitset above that.
+#: Below the bound a word-parallel ``&`` over all ``n`` bits costs more than
+#: merging the few survivors.  Chosen by measurement (docs/ALGORITHMS.md).
+SPARSE_DIVISOR = 1024
 
 
 class PrettiPlusPreparedIndex(PreparedIndex):
@@ -64,12 +72,28 @@ class PrettiPlusPreparedIndex(PreparedIndex):
                     stack.append(child)
 
     def _probe_all(self, r: Relation, stats: JoinStats) -> list[tuple[int, int]]:
-        """PRETTI's traversal adapted to multi-element nodes.
+        """PRETTI's traversal adapted to multi-element nodes, set-at-a-time.
 
         Entering a child costs one inverted-list intersection per element of
         the child's prefix run; the refinement short-circuits (and the
-        subtree is pruned without being visited) as soon as the candidate
-        list empties, because descendants only ever shrink it further.
+        subtree is pruned without being visited) as soon as the candidates
+        empty, because descendants only ever shrink them further.
+
+        Candidates are R *ranks* (positions in the ascending
+        ``index.all_ids``), carried in one of two forms per stack entry:
+
+        * dense — an int bitset over ranks.  Against a posting list longer
+          than the sparse bound ``len(R) // SPARSE_DIVISOR`` a refinement
+          is one word-parallel ``&`` with the element's posting bitset;
+          against a shorter one it keeps the posting ranks whose bit is
+          set.  A bitset whose popcount falls to the bound or below turns
+          into a list.
+        * sparse — an ascending rank list, refined with the kernel's
+          ``intersect_sorted`` against the element's rank postings.
+
+        Both forms hold the same candidates in the same ascending order, so
+        pairs, their order and the ``node_visits``/``intersections``
+        counters do not depend on the form.
 
         Under an active tracer the probe-side phases — inverted-file
         construction (``invert``) and the traversal (``traverse``) — are
@@ -80,46 +104,88 @@ class PrettiPlusPreparedIndex(PreparedIndex):
             index = InvertedIndex(r)
             if tracer.enabled:
                 tracer.count("inverted_records", len(index.all_ids))
+        all_ids = index.all_ids
+        ids_are_ranks = index.ids_are_ranks
+        rank_lists = index.rank_lists()
+        posting_bits = index.posting_bits
+        intersect = index.kernel.intersect_sorted
+        full = (1 << len(all_ids)) - 1
+        sparse = sparse_bound(len(all_ids))
         pairs: list[tuple[int, int]] = []
-        intersections_before = index.intersection_count
+        extend = pairs.extend
+        intersections = 0
         visits = 0
         with tracer.span("traverse"):
-            # Stack entries carry the candidate list *after* the node's prefix
-            # has been applied; the root's prefix is empty so it starts with all
-            # R-ids (every R-tuple contains the empty prefix).
+            # Stack entries carry the candidates *after* the node's prefix has
+            # been applied; the root's prefix is empty so it starts with all
+            # of R (every R-tuple contains the empty prefix).
             gov = governor("probe", stats)
-            stack: list[tuple] = [(self.trie.root, index.all_ids)] if index.all_ids else []
+            stack: list[tuple[Any, Any]] = [(self.trie.root, full)] if full else []
             while stack:
                 if gov is not None:
                     gov.tick()
                 node, current = stack.pop()
                 visits += 1
                 if node.tuples:
+                    ranks = bitset_ranks(current) if type(current) is int else current
+                    rids = ranks if ids_are_ranks else [all_ids[p] for p in ranks]
                     for s_id in node.tuples:
-                        for r_id in current:
-                            pairs.append((r_id, s_id))
+                        extend(zip(rids, repeat(s_id)))
                 for child in node.children.values():
-                    child_list = current
+                    cands = current
                     for element in child.prefix:
-                        child_list = index.refine(child_list, element)
-                        if not child_list:
+                        intersections += 1
+                        postings = rank_lists.get(element)
+                        if postings is None:
+                            cands = None
                             break
-                    if child_list:
-                        stack.append((child, child_list))
+                        if type(cands) is not int:
+                            cands = intersect(cands, postings)
+                        elif len(postings) > sparse:
+                            cands &= posting_bits(element)
+                            if cands.bit_count() <= sparse:
+                                cands = _peel(cands)
+                        elif cands == full:
+                            cands = postings
+                        else:
+                            cands = [p for p in postings if cands >> p & 1]
+                        if not cands:
+                            break
+                    if cands:
+                        stack.append((child, cands))
             if tracer.enabled:
                 tracer.count("node_visits", visits)
-                tracer.count(
-                    "intersections", index.intersection_count - intersections_before
-                )
+                tracer.count("intersections", intersections)
+        maybe_check_inverted_index(index)
         stats.node_visits += visits
-        stats.intersections += index.intersection_count - intersections_before
+        stats.intersections += intersections
         return pairs
 
     def memory_objects(self, probe_relation: Relation | None = None) -> list[Any]:
         objs: list[Any] = [self.trie]
         if probe_relation is not None:
-            objs.append(InvertedIndex(probe_relation))
+            # The walk may build a bitset for every posting list above the
+            # sparse bound; count them all, as Fig. 6a reads this.
+            index = InvertedIndex(probe_relation)
+            index.build_posting_bits(sparse_bound(len(index.all_ids)))
+            objs.append(index)
         return objs
+
+
+def sparse_bound(n: int) -> int:
+    """Most candidates a PRETTI+ stack entry over ``n`` R-tuples carries as
+    a sorted rank list rather than a bitset."""
+    return n // SPARSE_DIVISOR
+
+
+def _peel(bits: int) -> list[int]:
+    """The ascending set-bit positions of a bitset with few bits set."""
+    out: list[int] = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 class PRETTIPlus(SetContainmentJoin):

@@ -20,7 +20,6 @@ Two layers of memoization keep repeated consultation cheap:
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -169,28 +168,41 @@ def compute_stats(relation: Relation) -> RelationStats:
 
 
 def _scan(relation: Relation) -> RelationStats:
-    """One full pass over ``relation`` computing every stored statistic."""
-    cards = [rec.cardinality for rec in relation]
+    """One pass over ``relation`` computing every stored statistic.
+
+    The standard deviation comes from the integer sums ``Σx`` and ``Σx²``:
+    ``n²·var = n·Σx² - (Σx)²`` is exact, so only the final square root
+    rounds (``statistics.pstdev`` gets the same value through exact
+    ``Fraction`` arithmetic, several times slower).
+    """
+    cards: list[int] = []
+    total = 0
+    squares = 0
     seen: set[frozenset[int]] = set()
-    duplicates = 0
     domain: set[int] = set()
     for rec in relation:
-        if rec.elements in seen:
-            duplicates += 1
-        else:
-            seen.add(rec.elements)
-        domain |= rec.elements
-    if not cards:
+        elements = rec.elements
+        card = len(elements)
+        cards.append(card)
+        total += card
+        squares += card * card
+        seen.add(elements)
+        domain.update(elements)
+    size = len(cards)
+    if not size:
         return RelationStats(0, 0.0, 0.0, 0, 0, 0, 0, 0)
+    cards.sort()
+    mid = size // 2
+    median = cards[mid] if size % 2 else (cards[mid - 1] + cards[mid]) / 2
     return RelationStats(
-        size=len(cards),
-        avg_cardinality=sum(cards) / len(cards),
-        median_cardinality=float(statistics.median(cards)),
-        min_cardinality=min(cards),
-        max_cardinality=max(cards),
+        size=size,
+        avg_cardinality=total / size,
+        median_cardinality=float(median),
+        min_cardinality=cards[0],
+        max_cardinality=cards[-1],
         domain_cardinality=len(domain),
-        total_elements=sum(cards),
-        duplicate_sets=duplicates,
-        cardinality_stddev=statistics.pstdev(cards) if len(cards) > 1 else 0.0,
+        total_elements=total,
+        duplicate_sets=size - len(seen),
+        cardinality_stddev=math.sqrt(size * squares - total * total) / size,
         max_element=max(domain) if domain else -1,
     )

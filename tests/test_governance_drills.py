@@ -33,8 +33,10 @@ from repro.errors import (
     CancelledError,
     DeadlineExceededError,
 )
+from repro.core.pretti_plus import PRETTIPlus
 from repro.core.ptsj import PTSJ
 from repro.governance import CancelToken, Deadline, GovernancePolicy, govern
+from repro.kernels import available_backends, use_backend
 from repro.obs import Tracer, use
 from repro.obs.clock import monotonic
 from repro.testing.faults import CountdownCancelToken, SkewedClock, SteppingSampler
@@ -239,6 +241,51 @@ def test_batched_ptsj_probe_stops_mid_walk(fault, walk_spy, sanitized_tracer):
     assert walk_spy["entered"] == 1
     assert isinstance(walk_spy["raised"], error)
     assert index.trie.node_count() > 50
+
+
+# ----------------------------------------------------------------------
+# Batched PRETTI+ probe: one poll per popped trie node
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def pretti_plus_batch():
+    # A batch large enough that the walk carries rank bitsets, not lists.
+    r = random_relation(4000, 10, 50, seed=721)
+    s = random_relation(600, 4, 50, seed=722)
+    index = PRETTIPlus().prepare(s)  # built ungoverned: only probe polls count
+    return index, r, index.probe_many(r).stats.node_visits
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_pretti_plus_probe_polls_once_per_popped_node(backend, pretti_plus_batch):
+    index, r, visits = pretti_plus_batch
+    token = CountdownCancelToken(after_checks=visits + 1)
+    with govern(GovernancePolicy(cancel=token, poll_interval=1)), use_backend(backend):
+        result = index.probe_many(r)
+    assert result.stats.extras["deadline_polls"] == result.stats.node_visits == visits
+    assert token.checks == visits
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("fault", ["deadline", "cancel"])
+def test_pretti_plus_probe_stops_mid_walk(fault, backend, pretti_plus_batch,
+                                          sanitized_tracer):
+    index, r, visits = pretti_plus_batch
+    # Every poll of a PRETTI+ batch is a popped node (see the test above),
+    # so a trip at poll visits // 2 lands halfway through the walk.
+    polls = visits // 2
+    if fault == "deadline":
+        # One clock reading for Deadline.after, then one per poll.
+        deadline = Deadline.after(600.0, clock=ExpiringClock(polls + 1))
+        policy = GovernancePolicy(deadline=deadline, poll_interval=1)
+        error = DeadlineExceededError
+    else:
+        token = CountdownCancelToken(after_checks=polls)
+        policy = GovernancePolicy(cancel=token, poll_interval=1)
+        error = CancelledError
+    with govern(policy), use_backend(backend):
+        with pytest.raises(error, match="during probe"):
+            index.probe_many(r)
+    assert visits > 100
 
 
 # ----------------------------------------------------------------------

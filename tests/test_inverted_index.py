@@ -6,7 +6,12 @@ import random
 
 import pytest
 
-from repro.index.inverted import InvertedIndex, intersect_sorted
+from repro.index.inverted import (
+    InvertedIndex,
+    bitset_from_ranks,
+    bitset_ranks,
+    intersect_sorted,
+)
 from repro.relations.relation import Relation, SetRecord
 
 
@@ -124,3 +129,43 @@ class TestInvertedIndex:
             [frozenset(rng.sample(range(5000), 10)) for _ in range(200)]
         )
         assert InvertedIndex(wide).average_list_length() < InvertedIndex(narrow).average_list_length()
+
+
+class TestRankSpace:
+    """Ranks are positions in ``all_ids``; PRETTI+ refines rank lists and
+    rank bitsets."""
+
+    def test_bitset_round_trip(self):
+        for ranks in ([], [0], [0, 2, 9], list(range(0, 200, 3)), [63, 64, 1000]):
+            bits = bitset_from_ranks(ranks)
+            assert bits.bit_count() == len(ranks)
+            assert bitset_ranks(bits) == ranks
+
+    def test_ids_0_to_n_minus_1_are_their_own_ranks(self):
+        idx = InvertedIndex(Relation.from_sets([{1, 2}, {2, 3}, {3}, set()]))
+        assert idx.ids_are_ranks
+        assert idx.rank_lists() is idx.lists
+
+    def test_gapped_out_of_order_ids_map_to_ranks(self):
+        rel = Relation([SetRecord(90, frozenset({1, 2})), SetRecord(5, frozenset({2})),
+                        SetRecord(41, frozenset({1}))])
+        idx = InvertedIndex(rel)
+        assert not idx.ids_are_ranks
+        assert idx.all_ids == [5, 41, 90]
+        assert idx.rank_lists() == {1: [1, 2], 2: [0, 2]}
+        assert idx.lists == {1: [41, 90], 2: [5, 90]}
+
+    def test_posting_bits_built_once_per_element(self):
+        rel = Relation([SetRecord(rid, frozenset({1})) for rid in (7, 3, 11)])
+        idx = InvertedIndex(rel)
+        assert idx.posting_bitsets == {}
+        bits = idx.posting_bits(1)
+        assert bits == 0b111
+        assert idx.posting_bits(1) is bits
+        assert idx.posting_bitsets == {1: 0b111}
+        assert idx.posting_bits(99) == 0
+
+    def test_build_posting_bits_above_a_length(self):
+        idx = InvertedIndex(Relation.from_sets([{1, 2}, {2, 3}, {2}, {3}]))
+        idx.build_posting_bits(longer_than=1)
+        assert idx.posting_bitsets == {2: 0b111, 3: 0b1010}

@@ -221,6 +221,34 @@ def test_inverted_index_hook_fires_on_construction(sanitize_on, relations):
     InvertedIndex(s)  # must not raise on a fresh build
 
 
+def test_inverted_index_checks_posting_bitsets(relations):
+    _, s = relations
+    inv = InvertedIndex(s)
+    element = max(inv.lists, key=lambda e: len(inv.lists[e]))
+    bits = inv.posting_bits(element)
+    sanitizer.check_inverted_index(inv)
+    inv.posting_bitsets[element] = bits | 1 << len(inv.all_ids)  # one bit too many
+    with pytest.raises(SanitizerError, match="has .* bits for"):
+        sanitizer.check_inverted_index(inv)
+    lowest = bits & -bits
+    inv.posting_bitsets[element] = bits ^ lowest | 1 << len(inv.all_ids)  # one bit moved
+    with pytest.raises(SanitizerError, match="misses tuple id"):
+        sanitizer.check_inverted_index(inv)
+
+
+def test_pretti_plus_walk_checks_the_bitsets_it_built(sanitize_on, monkeypatch):
+    from repro.index import inverted
+
+    r = generate_relation(SyntheticConfig(size=600, avg_cardinality=6, domain=40, seed=5))
+    s = generate_relation(SyntheticConfig(size=100, avg_cardinality=3, domain=40, seed=6))
+    index = prepare_index(s, "pretti+")
+    index.probe_many(r)  # consistent bitsets pass
+    build = inverted.bitset_from_ranks
+    monkeypatch.setattr(inverted, "bitset_from_ranks", lambda ranks: build(ranks[1:]))
+    with pytest.raises(SanitizerError, match="posting bitset"):
+        index.probe_many(r)
+
+
 # ----------------------------------------------------------------------
 # Probe accounting
 # ----------------------------------------------------------------------

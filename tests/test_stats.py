@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import statistics
+
+from hypothesis import given, settings, strategies as st
+
 from repro.relations.relation import Relation
-from repro.relations.stats import compute_stats
+from repro.relations.stats import RelationStats, compute_stats
 
 
 class TestComputeStats:
@@ -56,3 +62,52 @@ class TestComputeStats:
         st = compute_stats(Relation.from_sets(sets))
         assert st.avg_cardinality > 32
         assert st.recommended_algorithm() == "pretti+"
+
+
+def reference_scan(relation: Relation) -> RelationStats:
+    """The two-pass, ``statistics``-module scan the planner used to run."""
+    cards = [rec.cardinality for rec in relation]
+    seen: set[frozenset[int]] = set()
+    duplicates = 0
+    domain: set[int] = set()
+    for rec in relation:
+        if rec.elements in seen:
+            duplicates += 1
+        else:
+            seen.add(rec.elements)
+        domain |= rec.elements
+    if not cards:
+        return RelationStats(0, 0.0, 0.0, 0, 0, 0, 0, 0)
+    return RelationStats(
+        size=len(cards),
+        avg_cardinality=sum(cards) / len(cards),
+        median_cardinality=float(statistics.median(cards)),
+        min_cardinality=min(cards),
+        max_cardinality=max(cards),
+        domain_cardinality=len(domain),
+        total_elements=sum(cards),
+        duplicate_sets=duplicates,
+        cardinality_stddev=statistics.pstdev(cards) if len(cards) > 1 else 0.0,
+        max_element=max(domain) if domain else -1,
+    )
+
+
+class TestOnePassScan:
+    """``compute_stats`` scans once with integer sums; every field must match
+    the two-pass ``statistics`` scan (stddev to rounding)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(0, 300), max_size=40), max_size=60))
+    def test_matches_reference_scan(self, sets):
+        rel = Relation.from_sets(sets)
+        got = compute_stats(rel)
+        want = reference_scan(rel)
+        assert dataclasses.replace(got, cardinality_stddev=0.0) == \
+            dataclasses.replace(want, cardinality_stddev=0.0)
+        assert math.isclose(got.cardinality_stddev, want.cardinality_stddev,
+                            rel_tol=1e-12)
+
+    def test_stddev_of_large_cardinalities(self):
+        rel = Relation.from_sets([set(range(k)) for k in (1000, 1001, 5000, 7)])
+        want = statistics.pstdev([1000, 1001, 5000, 7])
+        assert math.isclose(compute_stats(rel).cardinality_stddev, want, rel_tol=1e-12)
