@@ -34,10 +34,17 @@ from repro.kernels import KernelBackend, SignaturePack, get_backend
 from repro.obs.tracer import current_tracer
 from repro.obs.clock import perf_counter
 from repro.relations.relation import Relation, SetRecord
+from repro.relations.stats import compute_stats
 from repro.signatures.hashing import ModuloScheme, SignatureScheme
 from repro.signatures.length import SignatureLengthStrategy
+from repro.tries.patricia import PatriciaTrie
 
-__all__ = ["SignatureJoinBase", "SignaturePreparedIndex", "insert_into_groups"]
+__all__ = [
+    "SignatureJoinBase",
+    "SignaturePreparedIndex",
+    "build_patricia",
+    "insert_into_groups",
+]
 
 
 def insert_into_groups(groups: list[CandidateGroup], record: SetRecord) -> None:
@@ -53,6 +60,35 @@ def insert_into_groups(groups: list[CandidateGroup], record: SetRecord) -> None:
             group.ids.append(record.rid)
             return
     groups.append(CandidateGroup(record.elements, record.rid))
+
+
+def build_patricia(
+    records: Iterable[SetRecord],
+    signatures: Iterable[int],
+    bits: int,
+    merge_identical: bool = True,
+    gov: Governor | None = None,
+) -> PatriciaTrie:
+    """The static Patricia index over ``records`` hashed to ``signatures``.
+
+    Records are grouped by signature in input order — merged into
+    :class:`CandidateGroup` s of identical sets when ``merge_identical``
+    (Sec. III-E1), one group each otherwise — and the trie is bulk-built
+    from the sorted distinct signatures.  ``gov`` ticks once per record.
+    """
+    leaves: dict[int, list[CandidateGroup]] = {}
+    for rec, sig in zip(records, signatures):
+        if gov is not None:
+            gov.tick()
+        groups = leaves.get(sig)
+        if groups is None:
+            leaves[sig] = [CandidateGroup(rec.elements, rec.rid)]
+        elif merge_identical:
+            insert_into_groups(groups, rec)
+        else:
+            groups.append(CandidateGroup(rec.elements, rec.rid))
+    keys = sorted(leaves)
+    return PatriciaTrie.from_sorted(bits, keys, [leaves[k] for k in keys])
 
 
 class SignaturePreparedIndex(PreparedIndex):
@@ -101,9 +137,12 @@ class SignaturePreparedIndex(PreparedIndex):
     def _probe_all(self, r: Relation, stats: JoinStats) -> list[tuple[int, int]]:
         """Algorithm 1 lines 4–8 for a whole relation: filter, then verify.
 
-        The filter phase hashes every probe record and hands all the
-        signatures to the algorithm's batch enumeration (PTSJ walks its
-        Patricia trie once per block of probes); the verify phase then
+        The filter phase hashes the whole relation in one
+        :meth:`~repro.signatures.SignatureScheme.signatures` call (one
+        kernel call for the ``x mod b`` scheme; a governed run still polls
+        once per record first) and hands all the signatures to the
+        algorithm's batch enumeration (PTSJ walks its Patricia trie once
+        per block of probes); the verify phase then
         compares each probe's candidate groups in R order.  Pairs come
         out in the order per-record :meth:`probe` calls would emit them,
         with identical counters.
@@ -114,15 +153,13 @@ class SignaturePreparedIndex(PreparedIndex):
         and ``verify`` child spans of ``probe``.
         """
         algorithm = self._algorithm
-        signature = self.scheme.signature
         gov = governor("probe", stats)
         visits_before = stats.node_visits
         t0 = perf_counter()
-        signatures: list[int] = []
-        for rec in r:
-            if gov is not None:
+        if gov is not None:
+            for _ in r:
                 gov.tick()
-            signatures.append(signature(rec.elements))
+        signatures = self.scheme.signatures([rec.elements for rec in r], self.kernel)
         hits = algorithm._enumerate_batch(signatures, stats, gov)
         t1 = perf_counter()
         pairs: list[tuple[int, int]] = []
@@ -269,15 +306,9 @@ class SignatureJoinBase(SetContainmentJoin):
         """
         if self.requested_bits is not None:
             return self.requested_bits
-        cards = [rec.cardinality for rec in s]
-        max_elem = s.max_element()
-        if r is not None:
-            cards += [rec.cardinality for rec in r]
-            max_elem = max(max_elem, r.max_element())
-        total = sum(cards)
-        avg_c = max(total / len(cards), 1.0) if cards else 1.0
-        domain = max_elem + 1
-        return self.length_strategy.choose(avg_c, max(domain, 1))
+        return self.length_strategy.choose_for_stats(
+            compute_stats(s), None if r is None else compute_stats(r)
+        )
 
     # ------------------------------------------------------------------
     # Template hooks

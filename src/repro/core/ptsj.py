@@ -8,11 +8,11 @@ worst-case, so signatures can grow to thousands of bits (Sec. III-D picks
 ``b ≈ 16c``) and filter away almost all false candidates.
 
 Index side (Algorithm 1 lines 1–3):
-    every S-tuple's signature is inserted into a
-    :class:`~repro.tries.patricia.PatriciaTrie`; tuples sharing a signature
-    share a leaf, and — the merge-identical-sets extension, Sec. III-E1 —
-    tuples sharing a *set value* share a :class:`CandidateGroup` inside the
-    leaf, so each duplicated set costs one comparison total.
+    S is hashed in one kernel call and grouped by signature: tuples sharing
+    a signature share a leaf, and — the merge-identical-sets extension,
+    Sec. III-E1 — tuples sharing a *set value* share a
+    :class:`CandidateGroup` in it, so each duplicated set costs one
+    comparison.  The trie is then bulk-built from the sorted signatures.
 
 Probe side:
     :meth:`PatriciaTrie.subset_leaves_batch` returns, for every R-tuple of a
@@ -24,10 +24,10 @@ Probe side:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.core.base import CandidateGroup, JoinStats
-from repro.core.framework import SignatureJoinBase, insert_into_groups
+from repro.core.framework import SignatureJoinBase, build_patricia
 from repro.governance.policy import Governor, governor
 from repro.relations.relation import Relation
 from repro.tries.patricia import PatriciaTrie
@@ -63,24 +63,15 @@ class PTSJ(SignatureJoinBase):
         self.trie: PatriciaTrie | None = None
 
     def _build_index(self, s: Relation, stats: JoinStats) -> None:
-        assert self.scheme is not None
-        trie = PatriciaTrie(self.scheme.bits)
-        signature = self.scheme.signature
-        gov = governor("build", stats)
-        if self.merge_identical:
-            for rec in s:
-                if gov is not None:
-                    gov.tick()
-                insert_into_groups(trie.insert(signature(rec.elements)), rec)
-        else:
-            for rec in s:
-                if gov is not None:
-                    gov.tick()
-                trie.insert(signature(rec.elements)).append(
-                    CandidateGroup(rec.elements, rec.rid)
-                )
-        self.trie = trie
-        stats.index_nodes = trie.node_count()
+        assert self.scheme is not None and self.kernel is not None
+        self.trie = build_patricia(
+            s,
+            self.scheme.signatures([rec.elements for rec in s], self.kernel),
+            self.scheme.bits,
+            self.merge_identical,
+            governor("build", stats),
+        )
+        stats.index_nodes = self.trie.node_count()
 
     def _enumerate_groups(self, signature: int, stats: JoinStats) -> Iterator[list[CandidateGroup]]:
         """PATRICIAENUM (Algorithm 5) via the trie's subset walk."""

@@ -22,9 +22,11 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.analysis.sanitizer import maybe_check_patricia_trie
 from repro.core.base import CandidateGroup
-from repro.core.framework import insert_into_groups
+from repro.core.framework import build_patricia, insert_into_groups
 from repro.errors import AlgorithmError
+from repro.kernels import get_backend
 from repro.relations.relation import Relation
+from repro.relations.stats import compute_stats
 from repro.signatures.hashing import ModuloScheme, SignatureScheme
 from repro.signatures.length import SignatureLengthStrategy
 from repro.tries.patricia import PatriciaTrie
@@ -60,18 +62,13 @@ class PatriciaSetIndex:
         if bits is None:
             if len(relation) == 0:
                 raise AlgorithmError("cannot derive a signature length from an empty relation")
-            cards = [rec.cardinality for rec in relation]
-            avg_c = max(sum(cards) / len(cards), 1.0)
-            domain = max(relation.max_element() + 1, 1)
             strategy = length_strategy or SignatureLengthStrategy()
-            bits = strategy.choose(avg_c, domain)
+            bits = strategy.choose_for_stats(compute_stats(relation))
         self.scheme = scheme_factory(bits)
-        self.trie = PatriciaTrie(bits)
+        signatures = self.scheme.signatures([rec.elements for rec in relation], get_backend())
+        self.trie = build_patricia(relation, signatures, bits)
         self.relation = relation
         self._size = len(relation)
-        signature = self.scheme.signature
-        for rec in relation:
-            insert_into_groups(self.trie.insert(signature(rec.elements)), rec)
         maybe_check_patricia_trie(self.trie)
 
     @classmethod

@@ -29,6 +29,7 @@ from repro.core.framework import insert_into_groups
 from repro.governance.policy import governor
 from repro.obs.tracer import current_tracer
 from repro.relations.relation import Relation, SetRecord
+from repro.relations.stats import compute_stats
 from repro.signatures.hashing import ModuloScheme, SignatureScheme
 from repro.signatures.length import SignatureLengthStrategy
 from repro.tries.binary_trie import BinaryTrie, BinaryTrieNode
@@ -152,15 +153,10 @@ class TrieTrieJoin(SetContainmentJoin):
     def _choose_bits(self, r: Relation | None, s: Relation) -> int:
         if self.requested_bits is not None:
             return self.requested_bits
-        cards = [rec.cardinality for rec in s]
-        max_elem = s.max_element()
-        if r is not None:
-            cards += [rec.cardinality for rec in r]
-            max_elem = max(max_elem, r.max_element())
-        avg_c = max(sum(cards) / len(cards), 1.0) if cards else 1.0
-        domain = max_elem + 1
         # Quarter of PTSJ's default ratio: the pair frontier punishes depth.
-        return SignatureLengthStrategy(ratio=0.125).choose(avg_c, max(domain, 1))
+        return SignatureLengthStrategy(ratio=0.125).choose_for_stats(
+            compute_stats(s), None if r is None else compute_stats(r)
+        )
 
     def _prepare(self, s: Relation, probe_hint: Relation | None = None) -> TrieTriePreparedIndex:
         bits = self._choose_bits(probe_hint, s)

@@ -41,6 +41,12 @@ The ABI is deliberately small:
     five-operation ABI (a timing proxy, a third-party registration)
     keeps working unchanged; backends override it only to go faster.
 
+``modulo_signatures(sets, bits)``
+    Hash a whole relation with the paper's ``x mod b`` scheme in one
+    call: PTSJ's build and every signature join's batch probe hash
+    through it.  Also concrete, with the pure-Python fold as its
+    reference body.
+
 Parity contract
 ---------------
 Backends must be *bit-for-bit interchangeable*: for any valid inputs,
@@ -58,7 +64,7 @@ inputs with duplicates is backend-defined.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Collection, Sequence
 
 from repro.errors import ReproError
 
@@ -162,6 +168,27 @@ class KernelBackend(ABC):
                 columns[bits - low.bit_length()] |= probe_bit
                 sig ^= low
         return columns
+
+    # ------------------------------------------------------------------
+    # Hashing kernel
+    # ------------------------------------------------------------------
+    def modulo_signatures(self, sets: Sequence[Collection[int]], bits: int) -> list[int]:
+        """The paper's ``x mod b`` signature of every set, in order.
+
+        Element ``x`` sets logical position ``x mod bits``, i.e. int bit
+        ``bits - 1 - (x mod bits)``; an empty set hashes to 0.  Elements
+        may be any ints (Python's ``%`` semantics).  This body is the
+        reference every override must match bit-for-bit, and equals
+        :meth:`repro.signatures.ModuloScheme.signature` per set.
+        """
+        top = bits - 1
+        out: list[int] = []
+        for elements in sets:
+            sig = 0
+            for x in elements:
+                sig |= 1 << (top - x % bits)
+            out.append(sig)
+        return out
 
     # ------------------------------------------------------------------
     # Identity / pickling

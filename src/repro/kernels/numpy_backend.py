@@ -19,7 +19,8 @@ differential and golden suites verify bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain
+from typing import Collection, Sequence
 
 from repro.kernels.base import KernelBackend, KernelUnavailableError, SignaturePack
 from repro.kernels.python_backend import PythonKernel
@@ -35,6 +36,14 @@ __all__ = ["NumpyKernel", "NumpySignaturePack"]
 #: ``intersect_sorted`` delegates tiny inputs to the python kernels.
 #: Purely a performance crossover: both paths return identical lists.
 _SMALL_INTERSECT = 64
+
+#: Transient bytes one block of :meth:`NumpyKernel.modulo_signatures`
+#: may allocate.  A row costs its byte-padded flag row plus the packed
+#: row, and each element 8 bytes of value/flat index plus its row offset,
+#: so the row count per block shrinks as ``bits`` and set sizes grow:
+#: 500 twitter rows at 120 bits are one block, 2000 webbase rows at 7472
+#: bits about twenty.
+_HASH_BLOCK_BYTES = 1 << 20
 
 
 def _to_matrix(signatures: Sequence[int], bits: int, np) -> "tuple":
@@ -139,6 +148,52 @@ class NumpyKernel(KernelBackend):
         raw = packed.tobytes()
         from_bytes = int.from_bytes
         return [from_bytes(raw[j * width:(j + 1) * width], "little") for j in range(bits)]
+
+    def modulo_signatures(self, sets: Sequence[Collection[int]], bits: int) -> list[int]:
+        # Per block: flatten the elements, turn each into the flat index
+        # ``row * width + pad + x % bits`` of a byte-padded bool matrix
+        # (logical position 0 is the row's first unpadded column), set
+        # those flags, and packbits the rows MSB-first, so each row read
+        # big-endian is the signature.
+        n = len(sets)
+        if n == 0:
+            return []
+        np = self._np
+        width = (bits + 7) // 8 * 8
+        nbytes = width // 8
+        pad = width - bits
+        lengths = np.fromiter(map(len, sets), dtype=np.int64, count=n)
+        cost = np.cumsum(lengths * 12 + (width + nbytes))
+        cuts = np.searchsorted(
+            cost, np.arange(_HASH_BLOCK_BYTES, int(cost[-1]), _HASH_BLOCK_BYTES), "right"
+        ).tolist()
+        bounds = [0, *cuts, n]
+        out: list[int] = []
+        from_bytes = int.from_bytes
+        for start, stop in zip(bounds, bounds[1:]):
+            if stop == start:
+                continue
+            block = sets[start:stop]
+            block_lengths = lengths[start:stop]
+            try:
+                flat = np.fromiter(
+                    chain.from_iterable(block), dtype=np.int64, count=int(block_lengths.sum())
+                )
+            except OverflowError:
+                # An element beyond int64: the reference fold gives the
+                # same ints for this block.
+                out += KernelBackend.modulo_signatures(self, block, bits)
+                continue
+            rows = stop - start
+            flat %= bits
+            offsets = np.arange(pad, rows * width, width,
+                                dtype=np.min_scalar_type(rows * width))
+            flat += np.repeat(offsets, block_lengths)
+            flags = np.zeros(rows * width, dtype=np.bool_)
+            flags[flat] = True
+            raw = np.packbits(flags).tobytes()
+            out += [from_bytes(raw[i:i + nbytes], "big") for i in range(0, rows * nbytes, nbytes)]
+        return out
 
     def intersect_sorted(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         if not a or not b:

@@ -240,24 +240,15 @@ class Planner:
     ) -> int:
         """The Sec. III-D length the signature algorithms will derive.
 
-        Mirrors ``SignatureJoinBase._choose_bits`` exactly: combined R+S
-        average cardinality when probe statistics exist (the one-shot
-        join path), the indexed side alone otherwise, over the hash
-        domain ``max_element + 1``.
+        The same :meth:`SignatureLengthStrategy.choose_for_stats` call as
+        ``SignatureJoinBase._choose_bits``: combined R+S statistics when
+        probe statistics exist (the one-shot join path), the indexed side
+        alone otherwise.
         """
         explicit = kwargs.get("bits")
         if explicit is not None:
             return int(explicit)
-        total = s.total_elements
-        count = s.size
-        max_element = s.max_element
-        if r is not None:
-            total += r.total_elements
-            count += r.size
-            max_element = max(max_element, r.max_element)
-        avg_c = max(total / count, 1.0) if count else 1.0
-        domain = max(max_element + 1, 1)
-        return self.length_strategy.choose(avg_c, domain)
+        return self.length_strategy.choose_for_stats(s, r)
 
     def _decide_signature(
         self,

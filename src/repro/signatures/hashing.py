@@ -14,9 +14,12 @@ All functions honour the MSB-first bit convention of
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.errors import SignatureError
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.kernels.base import KernelBackend
 
 __all__ = [
     "SignatureScheme",
@@ -71,6 +74,17 @@ class SignatureScheme:
             sig |= 1 << (bits - 1 - self.bit_of(x))
         return sig
 
+    def signatures(self, sets: Sequence[Iterable[int]], kernel: "KernelBackend") -> list[int]:
+        """:meth:`signature` of every set, in order.
+
+        The base scheme folds one set at a time; a scheme with a kernel
+        form (:class:`ModuloScheme`) hashes the whole batch in one
+        ``kernel`` call.  Either way the ints equal per-set
+        :meth:`signature` calls.
+        """
+        signature = self.signature
+        return [signature(elements) for elements in sets]
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} b={self.bits}>"
 
@@ -99,6 +113,9 @@ class ModuloScheme(SignatureScheme):
         for x in elements:
             sig |= 1 << (top - x % bits)
         return sig
+
+    def signatures(self, sets: Sequence[Iterable[int]], kernel: "KernelBackend") -> list[int]:
+        return kernel.modulo_signatures(sets, self.bits)
 
 
 class ScrambleScheme(SignatureScheme):

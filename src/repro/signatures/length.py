@@ -21,8 +21,12 @@ end of the sweet spot, clamped below by ``c``.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from repro.errors import SignatureError
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.relations.stats import RelationStats
 
 __all__ = ["SignatureLengthStrategy", "choose_signature_length"]
 
@@ -86,6 +90,27 @@ class SignatureLengthStrategy:
         # the 256-word cap bounds memory absolutely, and b = d is an exact
         # bitmap (no false positives), so exceeding d is never useful.
         return min(max(target, lower), cap, domain_cardinality)
+
+    def choose_for_stats(self, s: "RelationStats", r: "RelationStats | None" = None) -> int:
+        """Pick ``b`` for indexing ``S`` (probed by ``R`` when known) from statistics.
+
+        The one place the Sec. III-D inputs are derived from relation
+        statistics: ``c`` is the average cardinality over both relations
+        (``S`` alone without ``R``), at least 1, and ``d`` is the hash
+        domain ``max_element + 1``, at least 1, so empty relations still
+        get a usable length.  Reads only ``total_elements``, ``size`` and
+        ``max_element`` — the memoized :func:`~repro.relations.compute_stats`
+        fields, so a join the planner already sized pays no rescan.
+        """
+        total = s.total_elements
+        count = s.size
+        max_element = s.max_element
+        if r is not None:
+            total += r.total_elements
+            count += r.size
+            max_element = max(max_element, r.max_element)
+        avg_c = max(total / count, 1.0) if count else 1.0
+        return self.choose(avg_c, max(max_element + 1, 1))
 
     def __repr__(self) -> str:
         return (

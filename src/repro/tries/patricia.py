@@ -136,6 +136,79 @@ class PatriciaTrie:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    @classmethod
+    def from_sorted(
+        cls, bits: int, signatures: Sequence[int], payloads: Sequence[list[Any]]
+    ) -> "PatriciaTrie":
+        """Build the trie of ascending distinct ``signatures`` in one pass.
+
+        ``payloads[i]`` becomes the ``items`` list of ``signatures[i]``'s
+        leaf (the very list object, so a later :meth:`insert` of that
+        signature returns it).  A Patricia trie is canonical — its shape
+        depends only on the set of keys — so the result is node for node
+        the trie that :meth:`insert` calls in any order would build.
+
+        Adjacent keys first differ at logical position
+        ``bits - (prev ^ sig).bit_length()``, the ``stop`` of the branch
+        node between their leaves.  The branch nodes form a Cartesian
+        tree over those positions, built left to right with a stack of
+        the open right-hand nodes: a new branch adopts every deeper one
+        as its left subtree and takes the new leaf as its right child.
+        Segment starts depend on the final parents, so a top-down pass
+        then sets each node's ``start``, ``prefix`` and ``mask``; until
+        then ``prefix`` holds the full signature of a leaf below.
+
+        Raises:
+            TrieError: If ``bits`` is not positive, the signatures are not
+                strictly ascending, or ``len(payloads)`` differs.
+            repro.errors.SignatureError: If a signature does not fit.
+        """
+        trie = cls(bits)
+        if len(payloads) != len(signatures):
+            raise TrieError(f"{len(signatures)} signatures but {len(payloads)} payloads")
+        if not signatures:
+            return trie
+        validate_signature(signatures[0], bits)
+        validate_signature(signatures[-1], bits)
+        node_type = PatriciaNode
+        spine: list[PatriciaNode] = []
+        prev = signatures[0]
+        leaf = root = node_type(0, bits, prev, bits)
+        leaf.signature = prev
+        leaf.items = payloads[0]
+        for i in range(1, len(signatures)):
+            sig = signatures[i]
+            if sig <= prev:
+                raise TrieError("signatures must be strictly ascending")
+            stop = bits - (prev ^ sig).bit_length()
+            left: PatriciaNode = leaf
+            while spine and spine[-1].stop > stop:
+                left = spine.pop()
+            leaf = node_type(0, bits, sig, bits)
+            leaf.signature = sig
+            leaf.items = payloads[i]
+            branch = node_type(0, stop, sig, bits)
+            branch.left = left
+            branch.right = leaf
+            if spine:
+                spine[-1].right = branch
+            else:
+                root = branch
+            spine.append(branch)
+            prev = sig
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            node.mask = mask = (1 << (node.stop - node.start)) - 1
+            node.prefix = (node.prefix >> node.shift) & mask
+            if node.items is None:
+                node.left.start = node.right.start = node.stop  # type: ignore[union-attr]
+                stack.append(node.left)   # type: ignore[arg-type]
+                stack.append(node.right)  # type: ignore[arg-type]
+        trie.root = root
+        trie.leaf_count = len(signatures)
+        return trie
+
     def insert(self, signature: int) -> list[Any]:
         """Insert ``signature`` and return the leaf payload list.
 

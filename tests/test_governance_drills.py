@@ -244,6 +244,58 @@ def test_batched_ptsj_probe_stops_mid_walk(fault, walk_spy, sanitized_tracer):
 
 
 # ----------------------------------------------------------------------
+# Governed PTSJ build: one poll per S record, then one bulk build
+# ----------------------------------------------------------------------
+@pytest.fixture
+def bulk_build_spy(monkeypatch):
+    """Counts entries into the one-pass Patricia build."""
+    state = {"entered": 0}
+    build = PatriciaTrie.from_sorted.__func__
+
+    def spy(cls, *args, **kwargs):
+        state["entered"] += 1
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PatriciaTrie, "from_sorted", classmethod(spy))
+    return state
+
+
+def test_governed_ptsj_build_ticks_once_per_s_record(bulk_build_spy):
+    s = random_relation(300, 5, 60, seed=712)
+    token = CountdownCancelToken(after_checks=len(s) + 2)
+    with govern(GovernancePolicy(cancel=token, poll_interval=1)):
+        index = PTSJ().prepare(s)
+    # One poll per S record while grouping, then the build-boundary poll.
+    assert index.build_extras["deadline_polls"] == len(s)
+    assert token.checks == len(s) + 1
+    assert bulk_build_spy["entered"] == 1
+
+
+@pytest.mark.parametrize("fault", ["deadline", "cancel"])
+def test_governed_ptsj_build_stops_mid_grouping(fault, bulk_build_spy,
+                                                sanitized_tracer):
+    s = random_relation(300, 5, 60, seed=712)
+    # With poll_interval=1 the build polls once per S record: the trip
+    # lands halfway through S, before the trie is built.
+    polls = len(s) // 2
+    if fault == "deadline":
+        # One clock reading for Deadline.after, then one per poll.
+        deadline = Deadline.after(600.0, clock=ExpiringClock(polls + 1))
+        policy = GovernancePolicy(deadline=deadline, poll_interval=1)
+        error = DeadlineExceededError
+    else:
+        token = CountdownCancelToken(after_checks=polls)
+        policy = GovernancePolicy(cancel=token, poll_interval=1)
+        error = CancelledError
+    with govern(policy):
+        with pytest.raises(error, match="during build"):
+            PTSJ().prepare(s)
+    if fault == "cancel":
+        assert token.checks == polls
+    assert bulk_build_spy["entered"] == 0
+
+
+# ----------------------------------------------------------------------
 # Batched PRETTI+ probe: one poll per popped trie node
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")

@@ -2,7 +2,8 @@
 
 Covers the registry (registration, selection order, the ``REPRO_KERNEL``
 override, error paths), the ABI parity contract between the ``python``
-and ``numpy`` backends, the concrete ``transpose_signatures`` default,
+and ``numpy`` backends, the concrete ``transpose_signatures`` and
+``modulo_signatures`` defaults,
 pickling-by-name, the lazily built relation-wide signature pack on
 prepared indexes, and the posting-list-ordered ``refine_many``.
 """
@@ -40,6 +41,7 @@ from repro.kernels.python_backend import (
 )
 from repro.relations.relation import Relation, SetRecord
 from repro.signatures import bitmap
+from repro.signatures.hashing import ModuloScheme
 
 BACKENDS = available_backends()
 HAS_NUMPY = "numpy" in BACKENDS
@@ -210,6 +212,55 @@ def test_transpose_signatures_parity(data, bits):
         assert get_backend(name).transpose_signatures(sigs, bits) == reference
 
 
+#: Element draws for ``modulo_signatures``: small values (many collide
+#: mod ``bits``), values at and past ``bits``, and values past int64.
+hash_elements = st.one_of(
+    st.integers(0, 400),
+    st.integers(0, 2 ** 40),
+    st.integers(2 ** 63 - 2, 2 ** 63 + 2),
+    st.sampled_from([2 ** 64 + 3, 2 ** 100]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(sets=st.lists(st.frozensets(hash_elements, max_size=12), max_size=25),
+       bits=st.sampled_from([1, 2, 7, 8, 9, 63, 64, 65, 120, 300, 7472]))
+def test_modulo_signatures_parity(sets, bits):
+    # Empty relations, empty sets, bits of 1 and not a multiple of 8,
+    # elements >= bits and >= 2**63 all come out as per-set
+    # ModuloScheme.signature ints on every backend.
+    expected = [ModuloScheme(bits).signature(s) for s in sets]
+    for name in BACKENDS:
+        assert get_backend(name).modulo_signatures(sets, bits) == expected
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_modulo_signatures_in_small_blocks(monkeypatch, name):
+    # A tiny block budget makes each row its own block (and rows bigger
+    # than the budget still hash); one huge element falls back only its
+    # own block to the reference fold.
+    if name == "numpy":
+        from repro.kernels import numpy_backend
+
+        monkeypatch.setattr(numpy_backend, "_HASH_BLOCK_BYTES", 64)
+    rng = random.Random(17)
+    sets = [frozenset(rng.randrange(5000) for _ in range(rng.randrange(40)))
+            for _ in range(60)]
+    sets[30] = frozenset({2 ** 64 + 3, 7})
+    for bits in (1, 9, 120, 1000):
+        expected = [ModuloScheme(bits).signature(s) for s in sets]
+        assert get_backend(name).modulo_signatures(sets, bits) == expected
+
+
+def test_huge_elements_join_like_the_parent():
+    # SetRecord accepts any non-negative int; hashing must not overflow.
+    s = Relation([SetRecord(0, frozenset({2 ** 64 + 3}))])
+    r = Relation([SetRecord(0, frozenset({2 ** 64 + 3, 1}))])
+    for name in BACKENDS:
+        with use_backend(name):
+            assert make_algorithm("ptsj").join(r, s).pairs == [(0, 0)]
+
+
 class _FiveOpKernel(KernelBackend):
     """A backend written against the five-operation ABI only."""
 
@@ -235,8 +286,8 @@ class _FiveOpKernel(KernelBackend):
 
 
 def test_five_operation_backend_still_runs_joins(monkeypatch):
-    # transpose_signatures is concrete on the base class, so a backend
-    # predating it constructs and runs the batched PTSJ probe unchanged.
+    # transpose_signatures and modulo_signatures are concrete on the base
+    # class, so a backend predating them constructs and runs the batched PTSJ probe unchanged.
     monkeypatch.setattr(kernels, "_factories", dict(kernels._factories))
     monkeypatch.setattr(kernels, "_instances", dict(kernels._instances))
     register_backend("five-op", _FiveOpKernel)

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SignatureError
+from repro.relations.relation import Relation
+from repro.relations.stats import compute_stats
 from repro.signatures.length import SignatureLengthStrategy, choose_signature_length
 
 
@@ -70,3 +74,32 @@ class TestStrategyObject:
 
     def test_repr(self):
         assert "Int=32" in repr(SignatureLengthStrategy())
+
+
+def per_record_bits(
+    strategy: SignatureLengthStrategy, r: Relation | None, s: Relation
+) -> int:
+    """The per-record formula the signature joins used before the stats helper."""
+    cards = [rec.cardinality for rec in s]
+    max_elem = s.max_element()
+    if r is not None:
+        cards += [rec.cardinality for rec in r]
+        max_elem = max(max_elem, r.max_element())
+    avg_c = max(sum(cards) / len(cards), 1.0) if cards else 1.0
+    return strategy.choose(avg_c, max(max_elem + 1, 1))
+
+
+relations = st.lists(
+    st.frozensets(st.integers(0, 20_000), max_size=40), max_size=12
+).map(Relation.from_sets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=relations, r=st.one_of(st.none(), relations),
+       ratio=st.sampled_from([0.125, 0.5, 1.0]))
+def test_choose_for_stats_matches_per_record_formula(s, r, ratio):
+    # Empty relations and R = None included.
+    strategy = SignatureLengthStrategy(ratio=ratio)
+    expected = per_record_bits(strategy, r, s)
+    r_stats = None if r is None else compute_stats(r)
+    assert strategy.choose_for_stats(compute_stats(s), r_stats) == expected

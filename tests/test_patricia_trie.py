@@ -342,3 +342,95 @@ def test_subset_leaves_batch_ticks_per_popped_node():
     )
     # An all-ones query survives every node, so the walk pops them all.
     assert len(ticks) == trie.node_count()
+
+
+# ----------------------------------------------------------------------
+# One-pass bulk build
+# ----------------------------------------------------------------------
+def node_fields(trie: PatriciaTrie) -> list[tuple]:
+    """Every node's fields in pre-order, left before right."""
+    out = []
+    stack = [trie.root] if trie.root is not None else []
+    while stack:
+        node = stack.pop()
+        items = None if node.items is None else list(node.items)
+        out.append((node.start, node.stop, node.prefix, node.shift, node.mask,
+                    node.signature, items))
+        if node.items is None:
+            stack.append(node.right)
+            stack.append(node.left)
+    return out
+
+
+def bulk(bits: int, signatures: list[int]) -> PatriciaTrie:
+    """The bulk-built twin of :func:`build`: same leaves, same payload order."""
+    payloads: dict[int, list] = {}
+    for i, sig in enumerate(signatures):
+        payloads.setdefault(sig, []).append(i)
+    keys = sorted(payloads)
+    return PatriciaTrie.from_sorted(bits, keys, [payloads[k] for k in keys])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), bits=st.sampled_from([1, 2, 3, 8, 12, 64, 65, 130]))
+def test_from_sorted_matches_insert_loop(data, bits):
+    sig = st.one_of(st.sampled_from([0, (1 << bits) - 1]),
+                    st.integers(0, (1 << bits) - 1))
+    signatures = data.draw(st.lists(sig, max_size=40))
+    incremental = build(bits, signatures)
+    trie = bulk(bits, signatures)
+    trie.check_invariants()
+    assert node_fields(trie) == node_fields(incremental)
+    assert trie.node_count() == incremental.node_count()
+    assert len(trie) == len(incremental) == len(set(signatures))
+
+
+def test_from_sorted_reuses_payload_lists():
+    payloads = [["a"], ["b"]]
+    trie = PatriciaTrie.from_sorted(8, [3, 200], payloads)
+    assert trie.insert(3) is payloads[0]
+    assert trie.insert(200) is payloads[1]
+    assert len(trie) == 2
+
+
+def test_from_sorted_empty_and_single():
+    assert PatriciaTrie.from_sorted(8, [], []).root is None
+    trie = PatriciaTrie.from_sorted(8, [0b1010], [[0]])
+    trie.check_invariants()
+    assert node_fields(trie) == node_fields(build(8, [0b1010]))
+
+
+@pytest.mark.parametrize("signatures", [[5, 3], [4, 4], [1, 2, 2]])
+def test_from_sorted_rejects_unsorted_or_repeated(signatures):
+    with pytest.raises(TrieError):
+        PatriciaTrie.from_sorted(8, signatures, [[] for _ in signatures])
+
+
+def test_from_sorted_rejects_bad_input():
+    with pytest.raises(TrieError):
+        PatriciaTrie.from_sorted(8, [1, 2], [[]])
+    with pytest.raises(SignatureError):
+        PatriciaTrie.from_sorted(4, [1, 0b10000], [[], []])
+    with pytest.raises(SignatureError):
+        PatriciaTrie.from_sorted(4, [-1, 2], [[], []])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_bulk_built_trie_maintains_like_incremental(data):
+    # insert/remove on a bulk-built trie behave exactly as on an
+    # incrementally built one (the dynamic Sec. III-E3 index).
+    sig = st.integers(0, (1 << BATCH_BITS) - 1)
+    signatures = data.draw(st.lists(sig, max_size=30))
+    ops = data.draw(st.lists(st.tuples(st.booleans(), sig), max_size=30))
+    incremental = build(BATCH_BITS, signatures)
+    trie = bulk(BATCH_BITS, signatures)
+    for step, (is_insert, value) in enumerate(ops):
+        if is_insert:
+            trie.insert(value).append(("op", step))
+            incremental.insert(value).append(("op", step))
+        else:
+            assert trie.remove(value) == incremental.remove(value)
+        trie.check_invariants()
+        assert node_fields(trie) == node_fields(incremental)
+        assert len(trie) == len(incremental)

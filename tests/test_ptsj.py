@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.base import JoinStats
+from repro.core.base import CandidateGroup, JoinStats
+from repro.core.framework import insert_into_groups
 from repro.core.ptsj import PTSJ
 from repro.kernels import available_backends, use_backend
 from repro.relations.relation import Relation
+from repro.signatures.hashing import ModuloScheme
 from repro.tries import patricia
+from repro.tries.patricia import PatriciaTrie
 from tests.conftest import TABLE1_EXPECTED, oracle_pairs, random_relation
 
 
@@ -163,3 +166,42 @@ class TestBatchedProbe:
         assert set(pairs) == oracle_pairs(r, s)
         assert (result.stats.candidates, result.stats.node_visits) == \
             (stats.candidates, stats.node_visits)
+
+
+def incremental_trie(s: Relation, bits: int, merge_identical: bool) -> PatriciaTrie:
+    """PTSJ's index built the per-record way: one ``insert`` per S tuple."""
+    trie = PatriciaTrie(bits)
+    scheme = ModuloScheme(bits)
+    for rec in s:
+        groups = trie.insert(scheme.signature(rec.elements))
+        if merge_identical:
+            insert_into_groups(groups, rec)
+        else:
+            groups.append(CandidateGroup(rec.elements, rec.rid))
+    return trie
+
+
+def leaf_groups(trie: PatriciaTrie) -> list[tuple]:
+    return [(leaf.signature, [(g.elements, g.ids) for g in leaf.items])
+            for leaf in trie.leaves()]
+
+
+class TestBulkBuild:
+    """The grouped one-pass build gives the tree per-record inserts give."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("merge_identical", [True, False])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s_sets=st.lists(st.frozensets(st.integers(0, 30), max_size=5), max_size=40),
+        bits=st.integers(1, 40),
+    )
+    def test_same_leaves_as_insert_loop(self, backend, merge_identical, s_sets, bits):
+        # Duplicated sets exercise the merge; a small domain shares leaves.
+        s = Relation.from_sets(s_sets + s_sets[::3], start_id=7)
+        with use_backend(backend):
+            index = PTSJ(bits=bits, merge_identical=merge_identical).prepare(s)
+        expected = incremental_trie(s, bits, merge_identical)
+        index.trie.check_invariants()
+        assert leaf_groups(index.trie) == leaf_groups(expected)
+        assert index.index_nodes == index.trie.node_count() == expected.node_count()
