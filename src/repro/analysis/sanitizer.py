@@ -13,6 +13,9 @@ raise :class:`~repro.errors.SanitizerError` naming the violating node path
 * :meth:`repro.core.base.PreparedIndex.probe_many` — probe accounting:
   ``probe_calls`` strictly monotone, ``reused_index`` consistent,
   cumulative counters non-decreasing.
+* :class:`repro.core.framework.SignaturePreparedIndex` — on exact
+  signatures, every candidate's bitmap verdict against its set verdict
+  (both ``probe`` and the batch verify loop).
 * :class:`repro.index.inverted.InvertedIndex` — postings sorted and
   consistent at construction, and the posting bitsets a PRETTI+ walk
   built consistent with their postings after the walk.
@@ -50,6 +53,7 @@ __all__ = [
     "check_inverted_index",
     "check_prepared_index",
     "check_probe_accounting",
+    "check_exact_verdicts",
     "check_plan",
     "maybe_check_prepared_index",
     "maybe_check_probe_accounting",
@@ -379,6 +383,23 @@ def check_probe_accounting(index: Any, stats: Any, probe_records: int) -> None:
         if total < batch:
             _fail(f"cumulative {counter}={total} fell below this batch's "
                   f"{batch}; accumulation is not monotone", counter)
+
+
+def check_exact_verdicts(leaf: Any, r_sig: int, r_set: frozenset[int]) -> None:
+    """On exact signatures, the int verdict must be the set verdict.
+
+    The signature joins decide a leaf's candidates with
+    ``leaf.signature & ~r_sig == 0`` when the scheme is injective on both
+    sides; every group of the leaf must then agree under
+    ``group.elements <= r_set``.
+    """
+    fits = not leaf.signature & ~r_sig
+    for i, group in enumerate(leaf.items):
+        if fits != (group.elements <= r_set):
+            _fail(f"bitmap verdict {fits} disagrees with the set verdict for "
+                  f"tuple ids {list(group.ids)}: leaf signature "
+                  f"{leaf.signature:#x}, probe signature {r_sig:#x}",
+                  f"leaf[{leaf.signature:#x}].items[{i}]")
 
 
 # ----------------------------------------------------------------------

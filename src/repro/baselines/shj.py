@@ -75,8 +75,8 @@ class _Entry:
     """One hash-map entry: an S-tuple's full signature plus its group.
 
     SHJ as published does not merge identical sets, so every entry holds a
-    singleton :class:`CandidateGroup` (kept in group form so the shared
-    Algorithm 1 verify loop applies unchanged).
+    singleton :class:`CandidateGroup`; :attr:`items` presents it as a leaf
+    so the shared Algorithm 1 verify loop applies unchanged.
     """
 
     __slots__ = ("signature", "group")
@@ -84,6 +84,11 @@ class _Entry:
     def __init__(self, signature: int, group: CandidateGroup) -> None:
         self.signature = signature
         self.group = group
+
+    @property
+    def items(self) -> list[CandidateGroup]:
+        """The entry's group, as a one-group leaf payload."""
+        return [self.group]
 
 
 class SHJ(SignatureJoinBase):
@@ -166,13 +171,13 @@ class SHJ(SignatureJoinBase):
         }
         stats.index_nodes = len(buckets)
 
-    def _enumerate_groups(self, signature: int, stats: JoinStats) -> Iterator[list[CandidateGroup]]:
+    def _enumerate_leaves(self, signature: int, stats: JoinStats) -> Iterator[_Entry]:
         """SHJENUM (Algorithm 2): submask enumeration + bucket filtering.
 
         Every submask of the probe's partial signature is looked up; each
         hit bucket's packed full signatures then pass the batched ``⊑``
         kernel filter (one call per bucket, not one check per entry)
-        before the shared verify loop compares actual sets.  Counters and
+        before the shared verify loop checks each candidate.  Counters and
         yield order are bit-identical to the historical per-entry loop:
         ``bucket_entries_scanned`` counts every entry of every hit bucket
         and survivors come out in entry order.
@@ -193,6 +198,6 @@ class SHJ(SignatureJoinBase):
                 continue
             filtered += len(bucket)
             for idx in filter_batch(packs[sub], signature):
-                yield [bucket[idx].group]
+                yield bucket[idx]
         stats.extras["submask_enumerations"] = stats.extras.get("submask_enumerations", 0) + enumerations
         stats.extras["bucket_entries_scanned"] = stats.extras.get("bucket_entries_scanned", 0) + filtered

@@ -12,13 +12,11 @@ the stepping stone to PTSJ.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.core.base import CandidateGroup, JoinStats
 from repro.core.framework import SignatureJoinBase, insert_into_groups
 from repro.governance.policy import governor
 from repro.relations.relation import Relation
-from repro.tries.binary_trie import BinaryTrie
+from repro.tries.binary_trie import BinaryTrie, BinaryTrieNode
 
 __all__ = ["TSJ"]
 
@@ -63,11 +61,10 @@ class TSJ(SignatureJoinBase):
         self.trie = trie
         stats.index_nodes = trie.node_count()
 
-    def _enumerate_groups(self, signature: int, stats: JoinStats) -> Iterator[list[CandidateGroup]]:
+    def _enumerate_leaves(self, signature: int, stats: JoinStats) -> list[BinaryTrieNode]:
         """TRIEENUM (Algorithm 4): level-synchronous trie walk."""
         trie = self.trie
         assert trie is not None
         leaves = trie.subset_leaves(signature)
         stats.node_visits += trie.visits_last_query
-        for leaf in leaves:
-            yield leaf.items  # type: ignore[misc]
+        return leaves

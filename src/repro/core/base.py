@@ -99,6 +99,9 @@ class JoinStats:
             algorithms have no verification step, so this stays 0.
         verifications: Exact set-containment checks executed.  Equals
             ``candidates`` for signature algorithms; 0 for PRETTI/PRETTI+.
+            When the signature scheme is injective on both relations
+            (every element below ``b`` under ``x mod b``), each check runs
+            on the exact signature bitmaps instead of the sets.
         node_visits: Trie nodes dequeued across all probes (the paper's
             ``V * |R|``), or nodes traversed for IR-based algorithms.
         intersections: Inverted-list intersections (PRETTI/PRETTI+ only).

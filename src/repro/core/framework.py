@@ -9,8 +9,10 @@ Patricia trie for PTSJ/Algorithm 5).
 
 :class:`SignatureJoinBase` is that skeleton.  Subclasses provide the index
 (:meth:`_build_index`) and the subset enumeration
-(:meth:`_enumerate_groups`, plus an optional set-at-a-time
-:meth:`_enumerate_batch`); the shared :class:`SignaturePreparedIndex`
+(:meth:`_enumerate_leaves`, plus an optional set-at-a-time
+:meth:`_enumerate_batch`), which yields *leaves*: index entries with a
+``signature`` int and an ``items`` list of the :class:`CandidateGroup` s
+stored under it.  The shared :class:`SignaturePreparedIndex`
 implements lines 4–8 of Algorithm 1 — a streaming per-record
 :meth:`~SignaturePreparedIndex.probe` and a batch filter-then-verify
 ``probe_many`` — including the merge-identical-sets output expansion
@@ -23,6 +25,8 @@ import copy
 from abc import abstractmethod
 from typing import Any, Iterable, Iterator
 
+from repro.analysis.sanitizer import check_exact_verdicts
+from repro.analysis.sanitizer import enabled as sanitizer_enabled
 from repro.core.base import (
     CandidateGroup,
     JoinStats,
@@ -97,11 +101,20 @@ class SignaturePreparedIndex(PreparedIndex):
     Holds a snapshot of the algorithm instance taken right after the build,
     so the index stays valid even if the originating algorithm object later
     prepares another index (each build rebinds fresh structures).
+
+    Attributes:
+        exact_signatures: Whether the scheme hashes the indexed relation
+            injectively (:meth:`~repro.signatures.SignatureScheme.is_exact_for`
+            its largest element), making S's signatures exact bitmaps.
+            Probes whose elements hash injectively too are then verified
+            on the signature ints.
     """
 
     def __init__(self, algorithm: "SignatureJoinBase", relation: Relation) -> None:
         super().__init__(algorithm.name, relation)
         self._algorithm = algorithm
+        assert algorithm.scheme is not None
+        self.exact_signatures = algorithm.scheme.is_exact_for(compute_stats(relation).max_element)
         # (pack, rids) of the whole relation, built on the first
         # scan_candidates/scan_superset_candidates call; joins never read it.
         self._scan: tuple[SignaturePack, tuple[int, ...]] | None = None
@@ -122,16 +135,23 @@ class SignaturePreparedIndex(PreparedIndex):
 
         Candidates are verified one group at a time, so consuming only the
         first ``k`` matches runs only the verifications needed to reach
-        them.
+        them.  The verdict rule is :meth:`_probe_all`'s, with the probe's
+        exactness tested on this record alone.
         """
         stats = self._target(stats)
         r_set = record.elements
         r_sig = self.scheme.signature(r_set)
-        for groups in self._algorithm._enumerate_groups(r_sig, stats):
-            for group in groups:
+        exact = self.exact_signatures and self.scheme.is_exact_for(max(r_set, default=-1))
+        sanitize = exact and sanitizer_enabled()
+        missing = ~r_sig  # the positions the probe lacks
+        for leaf in self._algorithm._enumerate_leaves(r_sig, stats):
+            if sanitize:
+                check_exact_verdicts(leaf, r_sig, r_set)
+            fits = exact and not leaf.signature & missing
+            for group in leaf.items:
                 stats.candidates += 1
                 stats.verifications += 1
-                if group.elements <= r_set:
+                if fits if exact else group.elements <= r_set:
                     yield from group.ids
 
     def _probe_all(self, r: Relation, stats: JoinStats) -> list[tuple[int, int]]:
@@ -146,6 +166,13 @@ class SignaturePreparedIndex(PreparedIndex):
         compares each probe's candidate groups in R order.  Pairs come
         out in the order per-record :meth:`probe` calls would emit them,
         with identical counters.
+
+        Each candidate gets one exact containment check.  When the scheme
+        is injective on S and on R (Sec. III-D's ``b = d``: every element
+        below ``b`` under ``x mod b``), signatures are exact bitmaps and
+        the check is ``leaf.signature & ~r_sig == 0`` on the signature of
+        the leaf the group was enumerated from, shared by all its groups;
+        otherwise it is ``group.elements <= r_set``.
 
         The paper's Sec. III-C cost model separates these two costs
         (``V·|R|`` node visits vs. ``N·|R|`` set comparisons); under an
@@ -162,18 +189,26 @@ class SignaturePreparedIndex(PreparedIndex):
         signatures = self.scheme.signatures([rec.elements for rec in r], self.kernel)
         hits = algorithm._enumerate_batch(signatures, stats, gov)
         t1 = perf_counter()
+        exact = self.exact_signatures and self.scheme.is_exact_for(compute_stats(r).max_element)
+        if exact and sanitizer_enabled():
+            for rec, r_sig, leaves in zip(r, signatures, hits):
+                for leaf in leaves:
+                    check_exact_verdicts(leaf, r_sig, rec.elements)
         pairs: list[tuple[int, int]] = []
         append = pairs.append
         candidates = 0
-        for rec, group_lists in zip(r, hits):
+        for rec, r_sig, leaves in zip(r, signatures, hits):
             if gov is not None:
                 gov.tick()
             r_set = rec.elements
             r_id = rec.rid
-            for groups in group_lists:
+            missing = ~r_sig  # the positions r lacks
+            for leaf in leaves:
+                groups = leaf.items
                 candidates += len(groups)
+                fits = exact and not leaf.signature & missing
                 for group in groups:
-                    if group.elements <= r_set:
+                    if fits if exact else group.elements <= r_set:
                         for s_id in group.ids:
                             append((r_id, s_id))
         stats.candidates += candidates
@@ -181,7 +216,7 @@ class SignaturePreparedIndex(PreparedIndex):
         t2 = perf_counter()
         tracer = current_tracer()
         if tracer.enabled:
-            leaf_hits = sum(len(group_lists) for group_lists in hits)
+            leaf_hits = sum(len(leaves) for leaves in hits)
             # mirror=False: the enclosing probe span already counts these
             # quantities into the registry; these records only attribute
             # the per-phase breakdown inside the span tree.
@@ -318,28 +353,30 @@ class SignatureJoinBase(SetContainmentJoin):
         """Index every tuple of ``s`` under its signature (Alg. 1 lines 1–3)."""
 
     @abstractmethod
-    def _enumerate_groups(self, signature: int, stats: JoinStats) -> Iterable[list[CandidateGroup]]:
-        """Yield the group lists of index entries with ``entry.sig ⊑ signature``.
+    def _enumerate_leaves(self, signature: int, stats: JoinStats) -> Iterable[Any]:
+        """Yield the index entries with ``entry.signature ⊑ signature``.
 
         This is the pluggable "subset enumeration algorithm" of Algorithm 1
-        line 5 — SHJENUM, TRIEENUM or PATRICIAENUM.
+        line 5 — SHJENUM, TRIEENUM or PATRICIAENUM.  Each entry is a leaf:
+        its ``signature`` int and the ``items`` list of the
+        :class:`CandidateGroup` s hashed to it.
         """
 
     def _enumerate_batch(
         self, signatures: list[int], stats: JoinStats, gov: Governor | None
-    ) -> list[list[list[CandidateGroup]]]:
-        """:meth:`_enumerate_groups` for many probes: group lists per probe.
+    ) -> list[list[Any]]:
+        """:meth:`_enumerate_leaves` for many probes: the leaves per probe.
 
         The default enumerates one probe at a time; an index with a
         set-at-a-time enumeration (PTSJ) overrides it.  Counters and the
-        order of each probe's group lists must equal the per-probe calls.
+        order of each probe's leaves must equal the per-probe calls.
         """
-        enumerate_groups = self._enumerate_groups
-        out: list[list[list[CandidateGroup]]] = []
+        enumerate_leaves = self._enumerate_leaves
+        out: list[list[Any]] = []
         for sig in signatures:
             if gov is not None:
                 gov.tick()
-            out.append(list(enumerate_groups(sig, stats)))
+            out.append(list(enumerate_leaves(sig, stats)))
         return out
 
     # ------------------------------------------------------------------

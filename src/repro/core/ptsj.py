@@ -24,13 +24,11 @@ Probe side:
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from repro.core.base import CandidateGroup, JoinStats
+from repro.core.base import JoinStats
 from repro.core.framework import SignatureJoinBase, build_patricia
 from repro.governance.policy import Governor, governor
 from repro.relations.relation import Relation
-from repro.tries.patricia import PatriciaTrie
+from repro.tries.patricia import PatriciaNode, PatriciaTrie
 
 __all__ = ["PTSJ"]
 
@@ -73,18 +71,17 @@ class PTSJ(SignatureJoinBase):
         )
         stats.index_nodes = self.trie.node_count()
 
-    def _enumerate_groups(self, signature: int, stats: JoinStats) -> Iterator[list[CandidateGroup]]:
+    def _enumerate_leaves(self, signature: int, stats: JoinStats) -> list[PatriciaNode]:
         """PATRICIAENUM (Algorithm 5) via the trie's subset walk."""
         trie = self.trie
         assert trie is not None
         leaves = trie.subset_leaves(signature)
         stats.node_visits += trie.visits_last_query
-        for leaf in leaves:
-            yield leaf.items  # type: ignore[misc]
+        return leaves
 
     def _enumerate_batch(
         self, signatures: list[int], stats: JoinStats, gov: Governor | None
-    ) -> list[list[list[CandidateGroup]]]:
+    ) -> list[list[PatriciaNode]]:
         """Set-at-a-time PATRICIAENUM: one trie walk per block of probes."""
         trie = self.trie
         assert trie is not None and self.kernel is not None
@@ -94,7 +91,7 @@ class PTSJ(SignatureJoinBase):
             None if gov is None else gov.tick,
         )
         stats.node_visits += visits
-        return [[leaf.items for leaf in leaves] for leaves in hits]  # type: ignore[misc]
+        return hits
 
     # ------------------------------------------------------------------
     # Index reuse (Sec. III-E2/E3 build on the same trie)

@@ -181,10 +181,9 @@ class MWTSJ(SignatureJoinBase):
         self.trie = trie
         stats.index_nodes = trie.node_count()
 
-    def _enumerate_groups(self, signature: int, stats: JoinStats):
+    def _enumerate_leaves(self, signature: int, stats: JoinStats) -> list[_MultiwayNode]:
         trie = self.trie
         assert trie is not None
         leaves = trie.subset_leaves(signature)
         stats.node_visits += trie.visits_last_query
-        for leaf in leaves:
-            yield leaf.items
+        return leaves

@@ -85,6 +85,16 @@ class SignatureScheme:
         signature = self.signature
         return [signature(elements) for elements in sets]
 
+    def is_exact_for(self, max_element: int) -> bool:
+        """True when sets of elements ``<= max_element`` hash injectively.
+
+        Every such element then owns its bit, so a signature is an exact
+        bitmap of its set and ``sig(a) ⊑ sig(b)`` iff ``a ⊆ b`` — the
+        ``b = d`` endpoint of Sec. III-D.  The base scheme promises no
+        injectivity and answers ``False``.
+        """
+        return False
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} b={self.bits}>"
 
@@ -117,6 +127,10 @@ class ModuloScheme(SignatureScheme):
     def signatures(self, sets: Sequence[Iterable[int]], kernel: "KernelBackend") -> list[int]:
         return kernel.modulo_signatures(sets, self.bits)
 
+    def is_exact_for(self, max_element: int) -> bool:
+        # Elements are non-negative, so below ``bits`` ``x mod b`` is ``x``.
+        return max_element < self.bits
+
 
 class ScrambleScheme(SignatureScheme):
     """Multiplicative scrambling before the modulo.
@@ -124,7 +138,8 @@ class ScrambleScheme(SignatureScheme):
     Elements that are numerically adjacent (common after dictionary
     encoding) land on decorrelated bits, which reduces signature collisions
     on clustered domains.  Still a per-element hash, so the soundness
-    property of Sec. II-A holds.
+    property of Sec. II-A holds.  Scrambling promises no injectivity, so
+    :meth:`is_exact_for` keeps the base answer, ``False``.
     """
 
     __slots__ = ()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import pytest
 
 from repro.core.base import CandidateGroup, JoinResult, JoinStats
@@ -55,6 +57,9 @@ class TestJoinResult:
         assert result.sorted_pairs() == [(1, 2), (3, 1)]
 
 
+_Leaf = namedtuple("_Leaf", "signature items")
+
+
 class _RecordingJoin(SignatureJoinBase):
     """Minimal concrete framework instance used to test the template."""
 
@@ -68,9 +73,11 @@ class _RecordingJoin(SignatureJoinBase):
         for rec in s:
             insert_into_groups(self.groups, rec)
 
-    def _enumerate_groups(self, signature, stats):
-        # Degenerate enumeration: every group is a candidate.
-        yield self.groups
+    def _enumerate_leaves(self, signature, stats):
+        # Degenerate enumeration: every group is a candidate, each under a
+        # leaf carrying its own signature.
+        for group in self.groups:
+            yield _Leaf(self.scheme.signature(group.elements), [group])
 
 
 class TestFrameworkTemplate:

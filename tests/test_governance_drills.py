@@ -39,6 +39,8 @@ from repro.governance import CancelToken, Deadline, GovernancePolicy, govern
 from repro.kernels import available_backends, use_backend
 from repro.obs import Tracer, use
 from repro.obs.clock import monotonic
+from repro.relations.relation import Relation, SetRecord
+from repro.relations.stats import compute_stats
 from repro.testing.faults import CountdownCancelToken, SkewedClock, SteppingSampler
 from repro.tries.patricia import SUBSET_BATCH_BLOCK, PatriciaTrie
 from tests.conftest import oracle_pairs, random_relation
@@ -338,6 +340,74 @@ def test_pretti_plus_probe_stops_mid_walk(fault, backend, pretti_plus_batch,
         with pytest.raises(error, match="during probe"):
             index.probe_many(r)
     assert visits > 100
+
+
+# ----------------------------------------------------------------------
+# PTSJ verify phase: one poll per R record, on bitmaps as on sets
+# ----------------------------------------------------------------------
+@pytest.fixture
+def filter_spy(monkeypatch):
+    """Records a token's check count when PTSJ's filter phase returns."""
+    state: dict = {"token": None, "checks": []}
+    enumerate_batch = PTSJ._enumerate_batch
+
+    def spy(self, *args, **kwargs):
+        hits = enumerate_batch(self, *args, **kwargs)
+        state["checks"].append(state["token"].checks if state["token"] else None)
+        return hits
+
+    monkeypatch.setattr(PTSJ, "_enumerate_batch", spy)
+    return state
+
+
+def verify_phase_batch(exact: bool):
+    """An index over S with every element below 64 bits, and an R that is
+    exact too or has one element aliasing under ``x mod 64``."""
+    s = random_relation(300, 5, 60, seed=731)
+    r = random_relation(400, 12, 60, seed=732)
+    if not exact:
+        r = Relation([*r.records[:-1], SetRecord(r.records[-1].rid, frozenset({3, 64 + 3}))])
+    index = PTSJ(bits=64).prepare(s)  # built ungoverned: only probe polls count
+    assert index.exact_signatures
+    assert (compute_stats(r).max_element < 64) is exact
+    return index, r
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["bitmaps", "sets"])
+def test_ptsj_verify_polls_once_per_r_record(exact, filter_spy):
+    index, r = verify_phase_batch(exact)
+    token = CountdownCancelToken(after_checks=10**9)
+    filter_spy["token"] = token
+    with govern(GovernancePolicy(cancel=token, poll_interval=1)):
+        result = index.probe_many(r)
+    assert set(result.pairs) == oracle_pairs(r, index.relation)
+    assert token.checks - filter_spy["checks"][0] == len(r)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["bitmaps", "sets"])
+@pytest.mark.parametrize("fault", ["deadline", "cancel"])
+def test_ptsj_probe_stops_mid_verify(fault, exact, filter_spy, sanitized_tracer):
+    index, r = verify_phase_batch(exact)
+    token = CountdownCancelToken(after_checks=10**9)
+    filter_spy["token"] = token
+    with govern(GovernancePolicy(cancel=token, poll_interval=1)):
+        index.probe_many(r)
+    # A trip half an R relation past the filter phase lands mid-verify.
+    polls = filter_spy["checks"][0] + len(r) // 2
+    filter_spy["token"] = None
+    if fault == "deadline":
+        # One clock reading for Deadline.after, then one per poll.
+        deadline = Deadline.after(600.0, clock=ExpiringClock(polls + 1))
+        policy = GovernancePolicy(deadline=deadline, poll_interval=1)
+        error = DeadlineExceededError
+    else:
+        policy = GovernancePolicy(cancel=CountdownCancelToken(after_checks=polls),
+                                  poll_interval=1)
+        error = CancelledError
+    with govern(policy):
+        with pytest.raises(error, match="during probe"):
+            index.probe_many(r)
+    assert len(filter_spy["checks"]) == 2, "the filter phase must have finished"
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from repro.core.base import CandidateGroup, JoinStats
 from repro.core.framework import insert_into_groups
 from repro.core.ptsj import PTSJ
+from repro.exec.parallel import ParallelJoin
 from repro.kernels import available_backends, use_backend
 from repro.relations.relation import Relation
-from repro.signatures.hashing import ModuloScheme
+from repro.signatures.hashing import ModuloScheme, ScrambleScheme
 from repro.tries import patricia
 from repro.tries.patricia import PatriciaTrie
 from tests.conftest import TABLE1_EXPECTED, oracle_pairs, random_relation
@@ -205,3 +206,93 @@ class TestBulkBuild:
         index.trie.check_invariants()
         assert leaf_groups(index.trie) == leaf_groups(expected)
         assert index.index_nodes == index.trie.node_count() == expected.node_count()
+
+
+def exact_and_probe_loop_agree(r: Relation, s: Relation, **kwargs) -> list[tuple[int, int]]:
+    """Join through ``probe_many`` and through a ``probe()`` loop; check both
+    against the oracle and each other (pairs, order, counters)."""
+    index = PTSJ(**kwargs).prepare(s)
+    result = index.probe_many(r)
+    pairs, stats = per_record_join(index, r)
+    assert result.pairs == pairs
+    assert (result.stats.candidates, result.stats.verifications, result.stats.node_visits) == \
+        (stats.candidates, stats.verifications, stats.node_visits)
+    assert set(pairs) == oracle_pairs(r, s)
+    return pairs
+
+
+class TestExactSignatures:
+    """When every element of R and S is below ``bits``, ``x mod b`` is
+    injective and candidates are decided on the signature ints; any element
+    at or past ``bits`` aliases, and the sets must decide."""
+
+    @pytest.mark.parametrize("merge_identical", [True, False])
+    @pytest.mark.parametrize("r_sets,s_sets", [
+        ([{9}], [{1}]),             # R aliases onto S
+        ([{1}], [{9}]),             # S aliases onto R
+        ([{0}], [{8}]),             # max_element == bits on the S side
+        ([{8}], [{0}]),             # ... and on the R side
+        ([{2**64 + 3}], [{3}]),     # a huge element aliasing a small one
+        ([{3}], [{2**64 + 3}]),
+    ])
+    def test_aliasing_gives_no_false_pair(self, merge_identical, r_sets, s_sets):
+        r = Relation.from_sets(r_sets)
+        s = Relation.from_sets(s_sets)
+        assert exact_and_probe_loop_agree(r, s, bits=8, merge_identical=merge_identical) == []
+
+    def test_exactness_is_read_per_side(self):
+        scheme = ModuloScheme(8)
+        assert scheme.is_exact_for(7) and scheme.is_exact_for(-1)
+        assert not scheme.is_exact_for(8)
+        assert not ScrambleScheme(1 << 20).is_exact_for(0)
+        assert PTSJ(bits=8).prepare(Relation.from_sets([{1}])).exact_signatures
+        assert not PTSJ(bits=8).prepare(Relation.from_sets([{9}])).exact_signatures
+        assert not PTSJ(bits=8).prepare(Relation.from_sets([{8}])).exact_signatures
+        assert not PTSJ(bits=64, scheme_factory=ScrambleScheme).prepare(
+            Relation.from_sets([{1}])).exact_signatures
+
+    def test_huge_element_on_both_sides_matches(self):
+        r = Relation.from_sets([{2**64 + 3, 1}, {3}])
+        s = Relation.from_sets([{2**64 + 3}, {1}])
+        assert sorted(exact_and_probe_loop_agree(r, s, bits=8)) == [(0, 0), (0, 1)]
+
+    @pytest.mark.parametrize("merge_identical", [True, False])
+    def test_empty_sets_and_relations(self, merge_identical):
+        r = Relation.from_sets([set(), {3}, {3, 5}])
+        s = Relation.from_sets([set(), set(), {3}])
+        assert PTSJ(bits=8).prepare(s).exact_signatures
+        pairs = exact_and_probe_loop_agree(r, s, bits=8, merge_identical=merge_identical)
+        assert sorted(pairs) == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+        empty = Relation([])
+        assert exact_and_probe_loop_agree(empty, s, bits=8) == []
+        assert exact_and_probe_loop_agree(r, empty, bits=8) == []
+
+    @pytest.mark.parametrize("merge_identical", [True, False])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r_sets=st.lists(st.frozensets(st.integers(0, 12), max_size=8), max_size=25),
+        s_sets=st.lists(st.frozensets(st.integers(0, 12), max_size=5), max_size=25),
+        slack=st.sampled_from([0, 1, 2]),
+    )
+    def test_bits_around_max_element(self, merge_identical, r_sets, s_sets, slack):
+        # bits = max_element is the last aliasing length (max_element and 0
+        # share a bit); max_element + 1 and + 2 are exact.
+        r = Relation.from_sets(r_sets)
+        s = Relation.from_sets(s_sets + s_sets[::2], start_id=500)
+        top = max([max(x, default=0) for x in r_sets + s_sets], default=0)
+        exact_and_probe_loop_agree(r, s, bits=max(1, top + slack),
+                                   merge_identical=merge_identical)
+
+    def test_parallel_ptsj_on_exact_input(self):
+        r = random_relation(60, 9, 40, seed=31)
+        s = random_relation(60, 6, 40, seed=32)
+        sequential = PTSJ(bits=40).join(r, s)
+        assert PTSJ(bits=40).prepare(s).exact_signatures
+        pooled = ParallelJoin(algorithm="ptsj", workers=2, chunks=4, bits=40).join(r, s)
+        assert pooled.stats.algorithm == "parallel-ptsj"
+        assert sorted(pooled.pairs) == sorted(sequential.pairs)
+        assert set(pooled.pairs) == oracle_pairs(r, s)
+        assert (pooled.stats.candidates, pooled.stats.verifications,
+                pooled.stats.node_visits) == (sequential.stats.candidates,
+                                              sequential.stats.verifications,
+                                              sequential.stats.node_visits)

@@ -271,6 +271,42 @@ def test_probe_accounting_clean_over_many_batches(sanitize_on, relations):
 
 
 # ----------------------------------------------------------------------
+# Exact-signature verdicts
+# ----------------------------------------------------------------------
+def _corrupt_exact_candidate():
+    """An exact PTSJ index whose first probe candidate lies about its set.
+
+    Every element is below ``bits``, so candidates are decided on the
+    signature ints; the corrupted group keeps its leaf (and signature) but
+    gains an element the probe lacks, so only the set verdict rejects it.
+    """
+    from repro.core.ptsj import PTSJ
+
+    r = Relation.from_sets([{1, 2, 3}])
+    s = Relation.from_sets([{1, 2}, {5}])
+    index = PTSJ(bits=8).prepare(s)
+    assert index.exact_signatures
+    group = index.trie.subset_leaves(index.scheme.signature({1, 2, 3}))[0].items[0]
+    group.elements = frozenset({1, 2, 7})
+    return r, index
+
+
+def test_exact_verdict_disagreement_fires_in_batch_and_stream(sanitize_on):
+    r, index = _corrupt_exact_candidate()
+    with pytest.raises(SanitizerError, match="bitmap verdict"):
+        index.probe_many(r)
+    with pytest.raises(SanitizerError, match="bitmap verdict"):
+        list(index.probe(r.records[0]))
+
+
+def test_exact_verdicts_unchecked_when_off(sanitize_off):
+    # The bitmap alone decides: the corrupted group still matches.
+    r, index = _corrupt_exact_candidate()
+    assert index.probe_many(r).pairs == [(0, 0)]
+    assert list(index.probe(r.records[0])) == [0]
+
+
+# ----------------------------------------------------------------------
 # Plans
 # ----------------------------------------------------------------------
 def test_real_plan_passes(relations):
