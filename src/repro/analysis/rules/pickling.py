@@ -1,14 +1,14 @@
 """RPR002 — pickle-safety at the process boundary.
 
 Everything submitted to a pool in :mod:`repro.exec` (and its historical
-home :mod:`repro.future`, kept in scope so the deprecation shims stay
-honest) crosses a process boundary, and under the ``spawn`` start method
+home :mod:`repro.future`), and every ``Process(target=...)`` started
+there, crosses a process boundary, and under the ``spawn`` start method
 (the CI matrix runs both ``fork`` and ``spawn``) the callable is pickled
 by reference.  Lambdas, nested closures and bound methods are not
 picklable, so a submission that works under ``fork`` dies with a
 ``PicklingError`` under ``spawn`` — the exact regression PR 2's resilient
-executor exists to avoid.  Only module-level functions (``_probe_chunk``,
-``_init_worker``, ``_join_shard``) may cross.
+executor exists to avoid.  Only module-level functions (``_probe_slot``,
+``_probe_chunk``, ``_init_worker``, ``_join_shard``) may cross.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from repro.analysis.engine import ModuleContext, Rule, Violation
 #: Executor methods whose first argument is shipped to a worker process.
 SUBMIT_METHODS = frozenset({"submit", "map"})
 
-#: Keyword arguments that also ship a callable to workers.
-CALLABLE_KWARGS = frozenset({"initializer"})
+#: Keyword arguments that also ship a callable to workers: a pool's
+#: initializer and a ``Process``'s entry point.
+CALLABLE_KWARGS = frozenset({"initializer", "target"})
 
 SCOPED_PACKAGES = ("repro.exec", "repro.future")
 
@@ -83,7 +84,7 @@ def check_pickle_safety(rule: Rule, ctx: ModuleContext) -> Iterator[Violation]:
                         rule,
                         kw.value,
                         f"{why} is passed as '{kw.arg}='; worker "
-                        "initializers must pickle under spawn",
+                        "entry points must pickle under spawn",
                     )
 
 
@@ -95,7 +96,7 @@ RULES = (
         "lambdas, closures and bound methods pickle only by reference and "
         "fail under spawn, turning a green fork-only run into a production "
         "crash.",
-        fixit="submit a module-level function (like _probe_chunk / "
+        fixit="submit a module-level function (like _probe_slot / "
         "_init_worker) and pass state through its arguments",
         check=check_pickle_safety,
     ),

@@ -17,9 +17,8 @@ sharded     :class:`~repro.exec.sharded.ShardedJoin`      S-index shards + recov
 
 :func:`repro.planner.executor.execute_plan` dispatches through
 :func:`executor_class` — one registry lookup, no per-class branches.
-The pre-refactor import paths (``repro.future.parallel``,
-``repro.future.resilient``, ``repro.external.disk_join``) remain as
-deprecation shims re-exporting from here.  See ``docs/EXECUTORS.md``.
+The pre-refactor import path ``repro.external.disk_join`` remains as a
+deprecation shim re-exporting from here.  See ``docs/EXECUTORS.md``.
 """
 
 from __future__ import annotations

@@ -5,16 +5,21 @@ essential when relation size goes beyond millions of tuples."
 
 This module provides the straightforward first step on top of the
 prepared-index split: the index over ``S`` is built **exactly once** in
-the parent, the probe relation ``R`` is split into chunks, and each
-worker process probes the shared index with its chunks.  Output equals
-the sequential join's because ``R ⋈⊇ S = ⋃_i (R_i ⋈⊇ S)``.
+the parent, the probe relation ``R`` is split into chunks, and the
+chunks are dealt round-robin to ``workers`` slots.  The parent is slot
+0 and probes its own chunks in-process; every further slot is one child
+process started for this join alone.  Output equals the sequential
+join's because ``R ⋈⊇ S = ⋃_i (R_i ⋈⊇ S)``.
 
-Index sharing is zero-copy on POSIX: :class:`~concurrent.futures.
-ProcessPoolExecutor` forks, so workers inherit the parent's prepared
-index through copy-on-write pages via the pool *initializer*.  Under a
-``spawn`` start method (e.g. macOS/Windows defaults) the same initializer
-path still works, but the index is pickled to each worker once — still
-one *build*, never one build per worker or per chunk.
+Index sharing is zero-copy under ``fork``: a child inherits the
+parent's prepared index and its chunks through copy-on-write pages.
+Under ``spawn`` or ``forkserver`` they are pickled to each child once —
+still one *build*, never one build per worker or per chunk.  A child
+sends one reply down a one-way pipe: its chunks' pairs as two
+``array('q')`` columns plus their :class:`~repro.core.base.JoinStats`,
+or the exception it raised.  Nothing outlives the join: no pool, no
+thread, no module state, and every child is reaped before
+:meth:`ParallelJoin.join` returns or raises.
 
 :class:`ParallelJoin` is the fail-fast executor: any worker failure
 aborts the join.  :class:`repro.exec.resilient.ResilientParallelJoin`
@@ -27,16 +32,18 @@ partitions the *index side* instead of sharing it — see
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, ClassVar
+from array import array
+from operator import itemgetter
+from typing import Any, ClassVar, Iterable, Sequence
 
 from repro.core.base import JoinResult, JoinStats, PreparedIndex
 from repro.core.options import validate_chunks, validate_start_method, validate_workers
+from repro.errors import WorkerError
 from repro.exec.merge import merge_stats
 from repro.exec.protocol import BaseExecutor
 from repro.external.partition import partition_relation
 from repro.governance.policy import GovernancePolicy, current_policy, governor, set_policy
-from repro.obs.tracer import current_tracer
+from repro.obs.tracer import NullTracer, current_tracer, set_tracer
 from repro.relations.relation import Relation
 
 __all__ = ["ParallelJoin", "parallel_join", "record_chunk_span", "merge_chunk_stats"]
@@ -47,30 +54,48 @@ __all__ = ["ParallelJoin", "parallel_join", "record_chunk_span", "merge_chunk_st
 #: signature bits, so the unified fold's extra fields are no-ops here).
 merge_chunk_stats = merge_stats
 
-#: The prepared index shared with worker processes.  Set once per worker by
-#: :func:`_init_worker` (inherited for free when the pool forks; transferred
-#: by pickle exactly once per worker under ``spawn``).
-_WORKER_INDEX: PreparedIndex | None = None
+
+def _columns(pairs: list[tuple[int, int]]) -> tuple[Sequence[int], Sequence[int]]:
+    """Split pairs into an r-id and an s-id column for the trip home.
+
+    Two ``array('q')`` buffers pickle as raw bytes, far cheaper than a
+    list of tuples.  Ids beyond int64 travel as plain lists instead.
+    """
+    try:
+        return array("q", map(itemgetter(0), pairs)), array("q", map(itemgetter(1), pairs))
+    except OverflowError:
+        return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
-def _init_worker(index: PreparedIndex, policy: GovernancePolicy | None = None) -> None:
-    """Pool initializer: bind the parent's prepared index in this worker.
+def _probe_slot(
+    index: PreparedIndex,
+    chunks: list[Relation],
+    policy: GovernancePolicy | None,
+    conn: Any,
+) -> None:
+    """Child entry point (module-level so it pickles): probe, reply, exit.
 
-    The parent's governance policy (deadline/cancel token) travels the
-    same way, so worker probe loops poll the *parent's* bounds — the
+    The parent's governance policy (deadline/cancel token) arrives as an
+    argument, so the probe loops poll the *parent's* bounds — the
     deadline is an absolute monotonic instant (system-wide on POSIX) and
     the token can be flag-file backed, so both read identically here.
+    The child traces nothing: its probe times travel home in each
+    chunk's stats, and the parent records them.
     """
-    global _WORKER_INDEX
-    _WORKER_INDEX = index
+    set_tracer(NullTracer())
     set_policy(policy)
-
-
-def _probe_chunk(r_chunk: Relation) -> tuple[list[tuple[int, int]], JoinStats]:
-    """Worker entry point (module-level so it pickles): probe, never build."""
-    assert _WORKER_INDEX is not None, "worker pool initializer did not run"
-    result = _WORKER_INDEX.probe_many(r_chunk)
-    return result.pairs, result.stats
+    try:
+        outcomes = []
+        for chunk in chunks:
+            result = index.probe_many(chunk)
+            outcomes.append((*_columns(result.pairs), result.stats))
+        reply: tuple[str, Any] = ("ok", outcomes)
+    except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+        reply = ("error", exc)
+    # A reply that fails to pickle kills the child, which the parent
+    # reports as a WorkerError with exit code 1.
+    conn.send(reply)
+    conn.close()
 
 
 def record_chunk_span(tracer, chunk_stats: JoinStats) -> None:
@@ -106,11 +131,13 @@ class ParallelJoin(BaseExecutor):
     Args:
         algorithm: Registry name of the in-memory algorithm whose prepared
             index is shared by all workers.
-        workers: Worker process count (>= 1).  ``workers=1`` probes the
-            chunks in-process (no pool), which keeps tests and small
-            inputs cheap — the index is still prepared exactly once.
+        workers: Number of processes that probe, the parent included
+            (>= 1).  The parent probes one slot's chunks itself and
+            starts one child per further slot, so ``workers=1`` probes
+            every chunk in-process — the index is still prepared exactly
+            once.
         chunks: Number of R-chunks; defaults to ``workers``.
-        start_method: Multiprocessing start method for the pool
+        start_method: Multiprocessing start method for the children
             (``"fork"``, ``"spawn"``, ``"forkserver"``); ``None`` uses the
             platform default.
         **algorithm_kwargs: Forwarded to the algorithm factory.
@@ -145,23 +172,6 @@ class ParallelJoin(BaseExecutor):
             "start_method": self.start_method,
         }
 
-    def _make_pool(self, index: PreparedIndex) -> ProcessPoolExecutor:
-        """Create the worker pool, every worker bound to ``index``."""
-        context = (
-            multiprocessing.get_context(self.start_method)
-            if self.start_method is not None
-            else None
-        )
-        policy = current_policy()
-        if policy is not None:
-            policy = policy.worker_policy()
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(index, policy),
-        )
-
     def _partition(self, r: Relation, stats: JoinStats) -> list[Relation]:
         """Split ``r`` into the configured number of chunks."""
         chunk_size = max(1, -(-len(r) // self.chunks)) if len(r) else 1
@@ -171,7 +181,13 @@ class ParallelJoin(BaseExecutor):
         return r_chunks
 
     def join(self, r: Relation, s: Relation) -> JoinResult:
-        """Compute ``R ⋈⊇ S``: one index build, parallel chunk probes."""
+        """Compute ``R ⋈⊇ S``: one index build, parallel chunk probes.
+
+        Raises:
+            WorkerError: When a child exits without replying (its exit
+                code is named).  An exception a child raises is re-raised
+                here as is.
+        """
         stats = JoinStats(algorithm=f"parallel-{self.algorithm}")
         r_chunks = self._partition(r, stats)
 
@@ -181,30 +197,73 @@ class ParallelJoin(BaseExecutor):
         stats.index_nodes = index.index_nodes
         stats.extras["index_builds"] = 1
 
-        pairs: list[tuple[int, int]] = []
-        tracer = current_tracer()
-        if self.workers == 1:
-            # In-process probes run under the active tracer directly, so
-            # probe_many opens the spans itself — no explicit recording.
-            outcomes = [
-                (res.pairs, res.stats)
-                for res in (index.probe_many(chunk) for chunk in r_chunks)
-            ]
-        else:
+        slots = min(self.workers, len(r_chunks))
+        owned = [range(slot, len(r_chunks), slots) for slot in range(slots)]
+        outcomes: list[tuple[Iterable[tuple[int, int]], JoinStats] | None]
+        outcomes = [None] * len(r_chunks)
+        policy = current_policy()
+        if policy is not None:
+            policy = policy.worker_policy()
+        context = multiprocessing.get_context(self.start_method)
+        children: list[tuple[int, Any, Any]] = []
+        try:
+            for slot in range(1, slots):
+                recv_conn, send_conn = context.Pipe(duplex=False)
+                chunks = [r_chunks[i] for i in owned[slot]]
+                proc = context.Process(
+                    target=_probe_slot,
+                    args=(index, chunks, policy, send_conn),
+                    daemon=True,
+                )
+                children.append((slot, proc, recv_conn))
+                try:
+                    proc.start()
+                finally:
+                    # Only the child may hold the send end: once it dies,
+                    # recv() then sees EOF instead of blocking forever.
+                    send_conn.close()
+            # Slot 0 is the parent.  Its probes run under the active
+            # tracer, so probe_many opens the spans itself.
+            for i in owned[0]:
+                result = index.probe_many(r_chunks[i])
+                outcomes[i] = (result.pairs, result.stats)
+            tracer = current_tracer()
             gov = governor("probe", stats)
-            with self._make_pool(index) as pool:
-                outcomes = []
-                for outcome in pool.map(_probe_chunk, r_chunks):
-                    outcomes.append(outcome)
-                    # Fail-fast executor: the parent re-checks the bounds
-                    # between chunk completions, so a breach that never
-                    # reaches a worker (e.g. cancel without a flag file)
-                    # still stops the join within one chunk.
-                    if gov is not None:
-                        gov.poll()
-            for _, chunk_stats in outcomes:
-                record_chunk_span(tracer, chunk_stats)
-        for chunk_pairs, chunk_stats in outcomes:
+            for slot, proc, conn in children:
+                # Receive before joining: a reply larger than the pipe
+                # buffer keeps the child alive until it has been read.
+                try:
+                    status, payload = conn.recv()
+                except EOFError:
+                    proc.join()
+                    raise WorkerError(
+                        f"parallel worker {slot} (pid {proc.pid}) exited with code "
+                        f"{proc.exitcode} before replying"
+                    ) from None
+                if status == "error":
+                    raise payload
+                for i, (r_ids, s_ids, chunk_stats) in zip(owned[slot], payload):
+                    outcomes[i] = (zip(r_ids, s_ids), chunk_stats)
+                    record_chunk_span(tracer, chunk_stats)
+                # Fail-fast executor: the parent re-checks the bounds after
+                # each child's reply, so a breach that never reaches a
+                # child (e.g. cancel without a flag file) still stops the
+                # join.
+                if gov is not None:
+                    gov.poll()
+        finally:
+            for _, proc, conn in children:
+                conn.close()
+                if proc.pid is None:  # start() itself failed
+                    continue
+                if proc.is_alive():
+                    proc.terminate()
+                proc.join()
+
+        pairs: list[tuple[int, int]] = []
+        for outcome in outcomes:
+            assert outcome is not None
+            chunk_pairs, chunk_stats = outcome
             pairs.extend(chunk_pairs)
             merge_stats(stats, chunk_stats)
         return JoinResult(pairs, stats)

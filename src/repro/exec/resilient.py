@@ -36,6 +36,7 @@ fault-injection harness that exercises every path above.  The same
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -56,12 +57,14 @@ from repro.errors import (
     WorkerError,
 )
 from repro.exec.merge import merge_stats
-from repro.exec.parallel import (
-    ParallelJoin,
-    _probe_chunk,
-    record_chunk_span,
+from repro.exec.parallel import ParallelJoin, record_chunk_span
+from repro.governance.policy import (
+    GovernancePolicy,
+    current_policy,
+    govern,
+    governor,
+    set_policy,
 )
-from repro.governance.policy import current_policy, govern, governor
 from repro.obs.tracer import current_tracer
 from repro.relations.relation import Relation
 
@@ -69,6 +72,29 @@ __all__ = ["RetryPolicy", "ResilientParallelJoin", "resilient_parallel_join"]
 
 #: Stats extras every resilient join reports (zero on a clean run).
 RESILIENCE_EXTRAS = ("retries", "timeouts", "fallback_chunks", "pool_restarts", "corrupt_chunks")
+
+#: The prepared index shared with worker processes.  Set once per worker by
+#: :func:`_init_worker` (inherited for free when the pool forks; transferred
+#: by pickle exactly once per worker under ``spawn``).
+_WORKER_INDEX: PreparedIndex | None = None
+
+
+def _init_worker(index: PreparedIndex, policy: GovernancePolicy | None = None) -> None:
+    """Pool initializer: bind the parent's prepared index in this worker.
+
+    The parent's governance policy (deadline/cancel token) travels the
+    same way, so worker probe loops poll the *parent's* bounds.
+    """
+    global _WORKER_INDEX
+    _WORKER_INDEX = index
+    set_policy(policy)
+
+
+def _probe_chunk(r_chunk: Relation) -> tuple[list[tuple[int, int]], JoinStats]:
+    """Worker entry point (module-level so it pickles): probe, never build."""
+    assert _WORKER_INDEX is not None, "worker pool initializer did not run"
+    result = _WORKER_INDEX.probe_many(r_chunk)
+    return result.pairs, result.stats
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,6 +368,23 @@ class ResilientParallelJoin(ParallelJoin):
     # ------------------------------------------------------------------
     # Pooled execution (workers > 1)
     # ------------------------------------------------------------------
+    def _make_pool(self, index: PreparedIndex) -> ProcessPoolExecutor:
+        """Create the worker pool, every worker bound to ``index``."""
+        context = (
+            multiprocessing.get_context(self.start_method)
+            if self.start_method is not None
+            else None
+        )
+        policy = current_policy()
+        if policy is not None:
+            policy = policy.worker_policy()
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=context,
+            initializer=_init_worker,
+            initargs=(index, policy),
+        )
+
     def _run_chunks_pooled(
         self,
         tasks: list[_ChunkTask],

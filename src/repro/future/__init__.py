@@ -12,9 +12,8 @@
   instead of killing it (see ``docs/ROBUSTNESS.md``).
 
 The parallel executors now live in :mod:`repro.exec` (see
-``docs/EXECUTORS.md``); they are re-exported here — and importable via
-the deprecated ``repro.future.parallel`` / ``repro.future.resilient``
-module paths — for backwards compatibility.
+``docs/EXECUTORS.md``); they are re-exported here for backwards
+compatibility.
 """
 
 from repro.exec.parallel import ParallelJoin, parallel_join

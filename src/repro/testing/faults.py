@@ -11,7 +11,9 @@ on command:
   :class:`~repro.errors.InjectedFaultError` from ``probe_many``
   (a recoverable worker exception);
 * :class:`DyingIndex` — kills its process with ``os._exit`` (hard worker
-  death, surfaces as ``BrokenProcessPool`` in the parent);
+  death, surfaces as ``BrokenProcessPool`` in a pool's parent and as a
+  :class:`~repro.errors.WorkerError` naming the exit code in
+  :class:`~repro.exec.parallel.ParallelJoin`);
 * :class:`SleepingIndex` — sleeps through the probe (simulates a hang,
   triggers the timeout path);
 * :class:`CorruptingIndex` — returns pairs referencing tuples that were

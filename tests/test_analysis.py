@@ -136,6 +136,29 @@ def test_pickle_rule_covers_exec_package():
     assert {v.rule_id for v in report.violations} == {"RPR002"}
 
 
+def test_pickle_rule_covers_process_targets():
+    # ParallelJoin starts its children with Process(target=...), which
+    # pickles the target under spawn just like a pool submission.
+    bad = (
+        "class Runner:\n"
+        "    def run(self, context, chunk):\n"
+        "        context.Process(target=self._probe_slot, args=(chunk,)).start()\n"
+        "        context.Process(target=lambda: chunk).start()\n"
+        "    def _probe_slot(self, chunk):\n"
+        "        return chunk\n"
+    )
+    good = (
+        "def _probe_slot(chunk):\n"
+        "    return chunk\n"
+        "def run(context, chunk):\n"
+        "    context.Process(target=_probe_slot, args=(chunk,)).start()\n"
+    )
+    report = lint_source(bad, module="repro.exec.fixture", select=["RPR002"])
+    assert len(report.violations) == 2
+    assert all("'target='" in v.message for v in report.violations)
+    assert lint_source(good, module="repro.exec.fixture", select=["RPR002"]).violations == []
+
+
 def test_pickle_rule_exec_good_twin_is_clean():
     report = lint_source(
         _fixture("rpr002_exec_good"),

@@ -9,9 +9,9 @@ Three things the PR 6 refactor promises:
   :data:`repro.exec.EXECUTOR_CLASSES` registry with no per-class
   branches, and rejects unknown executor names with
   :class:`~repro.errors.PlanError`;
-* the pre-refactor import paths (``repro.future.parallel``,
-  ``repro.future.resilient``, ``repro.external.disk_join``) keep working
-  but emit :class:`DeprecationWarning`, re-exporting the *same* objects.
+* the remaining pre-refactor import path (``repro.external.disk_join``)
+  keeps working but emits :class:`DeprecationWarning`, re-exporting the
+  *same* object.
 """
 
 from __future__ import annotations
@@ -146,8 +146,6 @@ def test_planned_sharded_join_executes(rs_pair):
 # Deprecation shims
 # ----------------------------------------------------------------------
 SHIMS = {
-    "repro.future.parallel": ("ParallelJoin", ParallelJoin),
-    "repro.future.resilient": ("ResilientParallelJoin", ResilientParallelJoin),
     "repro.external.disk_join": ("DiskPartitionedJoin", DiskPartitionedJoin),
 }
 

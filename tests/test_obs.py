@@ -22,7 +22,7 @@ from repro.extensions.equality import equality_join_on_index
 from repro.extensions.set_index import PatriciaSetIndex
 from repro.extensions.similarity import jaccard_join_on_index, similarity_join_on_index
 from repro.extensions.superset import superset_join_on_index
-from repro.exec import ResilientParallelJoin, RetryPolicy
+from repro.exec import ParallelJoin, ResilientParallelJoin, RetryPolicy
 from repro.obs import (
     MetricsRegistry,
     NullTracer,
@@ -510,6 +510,30 @@ def test_span_tree_matches_stats_resilient_parallel():
     # span records exactly those chunk durations, so they agree.
     _assert_phases_match(tracer.root, result.stats)
     assert tracer.root.find("probe").counters["chunks"] == 4
+
+
+def test_span_tree_matches_stats_parallel(monkeypatch):
+    # The parent probes slot 0's chunks (0 and 2) under its own tracer;
+    # the child's chunks (1 and 3) come home as recorded chunk spans.
+    # Both land in one merged probe span.
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    r = random_relation(90, 10, 48, seed=17)
+    s = random_relation(90, 6, 48, seed=18)
+    executor = ParallelJoin(algorithm="ptsj", workers=2, chunks=4)
+    tracer = Tracer()
+    with use(tracer):
+        result = executor.join(r, s)
+    root = tracer.finish()  # raises SanitizerError on an unbalanced stack
+    probe = root.find("probe")
+    assert probe.seconds == pytest.approx(result.stats.probe_seconds, rel=0.05, abs=1e-4)
+    assert probe.calls == 4  # two parent spans + two recorded child chunks
+    assert probe.counters["chunks"] == 2
+    assert probe.counters["pairs"] == len(result.pairs)
+    assert probe.counters["candidates"] == result.stats.candidates
+    assert probe.counters["node_visits"] == result.stats.node_visits
+    # The parent's own probes open their phase spans under "probe".
+    assert probe.find("signature_filter") is not None
+    _assert_phases_match(root, result.stats)
 
 
 def test_signature_phase_split_sums_to_probe():
