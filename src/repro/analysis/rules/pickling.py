@@ -7,8 +7,13 @@ there, crosses a process boundary, and under the ``spawn`` start method
 by reference.  Lambdas, nested closures and bound methods are not
 picklable, so a submission that works under ``fork`` dies with a
 ``PicklingError`` under ``spawn`` — the exact regression PR 2's resilient
-executor exists to avoid.  Only module-level functions (``_probe_slot``,
-``_probe_chunk``, ``_init_worker``, ``_join_shard``) may cross.
+executor exists to avoid.  Only module-level functions may cross:
+``_probe_slot`` (:mod:`repro.exec.parallel`), ``_init_worker`` and
+``_probe_chunk`` (:mod:`repro.exec.resilient`) and ``_join_shard``
+(:mod:`repro.exec.sharded`).  The recovery supervisor in
+:mod:`repro.exec.supervisor` submits nothing itself: each executor's
+``send`` and ``new_pool`` hooks name their entry point directly at the
+``submit``/``initializer=`` call, where this rule sees it.
 """
 
 from __future__ import annotations

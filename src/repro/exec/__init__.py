@@ -17,8 +17,8 @@ sharded     :class:`~repro.exec.sharded.ShardedJoin`      S-index shards + recov
 
 :func:`repro.planner.executor.execute_plan` dispatches through
 :func:`executor_class` — one registry lookup, no per-class branches.
-The pre-refactor import path ``repro.external.disk_join`` remains as a
-deprecation shim re-exporting from here.  See ``docs/EXECUTORS.md``.
+The resilient and sharded executors share one recovery ladder,
+:class:`~repro.exec.supervisor.Supervisor`.  See ``docs/EXECUTORS.md``.
 """
 
 from __future__ import annotations
@@ -28,12 +28,8 @@ from repro.exec.protocol import BaseExecutor, Executor
 from repro.exec.merge import ADDITIVE_FIELDS, STRUCTURAL_FIELDS, merge_stats
 from repro.exec.inline import InlineJoin
 from repro.exec.parallel import ParallelJoin, parallel_join, record_chunk_span
-from repro.exec.resilient import (
-    RESILIENCE_EXTRAS,
-    ResilientParallelJoin,
-    RetryPolicy,
-    resilient_parallel_join,
-)
+from repro.exec.supervisor import RetryPolicy
+from repro.exec.resilient import RESILIENCE_EXTRAS, ResilientParallelJoin, resilient_parallel_join
 from repro.exec.disk import DiskPartitionedJoin, disk_partitioned_join
 from repro.exec.sharded import SHARD_EXTRAS, ShardedJoin, sharded_join
 

@@ -26,9 +26,10 @@ Two partition strategies:
 
 Each shard is one worker task carrying everything it needs (algorithm
 name, its S-partition, its routed probes), so shards survive pool
-restarts without initializer state.  The resilience ladder from
-:class:`~repro.exec.resilient.RetryPolicy` extends to **shard loss**:
-a crashed or dying shard worker is retried with deterministic backoff, a
+restarts without initializer state.  The tasks run under the recovery
+ladder of :class:`repro.exec.supervisor.Supervisor`, the one the
+resilient executor uses for chunks, which here covers **shard loss**: a
+crashed or dying shard worker is retried with deterministic backoff, a
 hung shard is timed out and abandoned, and a shard whose retries are
 exhausted is rebuilt and probed in the parent process (the fallback of
 last resort — the parent rebuilds the shard index *without* any fault
@@ -47,9 +48,7 @@ probe in order, so merged counters equal the inline oracle's exactly.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable, ClassVar
 
 from repro.core.base import JoinResult, JoinStats, PreparedIndex
@@ -60,19 +59,35 @@ from repro.core.options import (
     validate_timeout_seconds,
     validate_workers,
 )
-from repro.errors import GovernanceError, JoinTimeoutError, RetryExhaustedError, WorkerError
-from repro.exec.merge import merge_stats
 from repro.exec.protocol import BaseExecutor
-from repro.exec.resilient import RetryPolicy
-from repro.governance.policy import GovernancePolicy, current_policy, governor, set_policy
-from repro.obs.clock import monotonic
+from repro.exec.supervisor import (
+    Outcome,
+    RetryPolicy,
+    Supervisor,
+    Task,
+    recovery_extras,
+    worker_policy,
+)
+from repro.governance.policy import GovernancePolicy, governor, set_policy
 from repro.obs.tracer import current_tracer
 from repro.relations.relation import Relation, SetRecord
 
 __all__ = ["ShardedJoin", "sharded_join", "SHARD_EXTRAS"]
 
-#: Stats extras every sharded join reports (the last five zero on a clean run).
-SHARD_EXTRAS = ("retries", "timeouts", "fallback_shards", "pool_restarts", "corrupt_shards")
+#: Stats extras every sharded join reports (zero on a clean run).
+SHARD_EXTRAS = recovery_extras("shard")
+
+#: What one shard task ships to its worker: shard id, algorithm name and
+#: kwargs, S-partition, routed probes, fault transform, governance policy.
+ShardPayload = tuple[
+    int,
+    str,
+    dict[str, Any],
+    Relation,
+    Relation,
+    Callable[[PreparedIndex], PreparedIndex] | None,
+    GovernancePolicy | None,
+]
 
 #: Multiplier for the stable signature hash (same prime CPython's tuple
 #: hash historically used; any odd multiplier works).
@@ -126,17 +141,7 @@ def route_probe(
     return sorted(targets)
 
 
-def _join_shard(
-    payload: tuple[
-        int,
-        str,
-        dict[str, Any],
-        Relation,
-        Relation,
-        Callable[[PreparedIndex], PreparedIndex] | None,
-        GovernancePolicy | None,
-    ],
-) -> tuple[list[tuple[int, int]], JoinStats]:
+def _join_shard(payload: ShardPayload) -> Outcome:
     """Worker entry point (module-level so it pickles): build *and* probe.
 
     Unlike the chunk executors, each shard task is self-contained — it
@@ -195,19 +200,6 @@ def record_shard_span(tracer, shard_id: int, shard_stats: JoinStats) -> None:
         },
     )
     tracer.observe("shard_seconds", shard_stats.build_seconds + shard_stats.probe_seconds)
-
-
-class _ShardTask:
-    """Book-keeping for one shard's journey through the executor."""
-
-    __slots__ = ("shard_id", "s_part", "probes", "attempts", "deadline")
-
-    def __init__(self, shard_id: int, s_part: Relation, probes: Relation) -> None:
-        self.shard_id = shard_id
-        self.s_part = s_part
-        self.probes = probes
-        self.attempts = 0
-        self.deadline: float | None = None
 
 
 class ShardedJoin(BaseExecutor):
@@ -317,292 +309,86 @@ class ShardedJoin(BaseExecutor):
                 routed[shard_id].append(rec)
         return routed
 
-    def _make_tasks(self, r: Relation, s: Relation, stats: JoinStats) -> list[_ShardTask]:
-        """Build one task per populated shard; record the routing extras."""
+    def _supervisor(self, r: Relation, s: Relation, stats: JoinStats) -> _ShardSupervisor:
+        """One task per populated shard, in shard-id order; record the routing extras."""
         s_parts = self._partition_s(s)
         s_has_empty = any(not rec.elements for rec in s)
         routed = self._route_r(r, s_has_empty)
+        populated = [shard_id for shard_id in range(self.shards) if s_parts[shard_id]]
         tasks = [
-            _ShardTask(
+            Task(
+                position,
                 shard_id,
-                Relation(tuple(s_parts[shard_id]), name=f"S#{shard_id}"),
                 Relation(tuple(routed[shard_id]), name=f"R#{shard_id}"),
+                frozenset(rec.rid for rec in s_parts[shard_id]),
             )
-            for shard_id in range(self.shards)
-            if s_parts[shard_id]
+            for position, shard_id in enumerate(populated)
         ]
+        parts = [Relation(tuple(s_parts[shard_id]), name=f"S#{shard_id}") for shard_id in populated]
         stats.extras["workers"] = self.workers
         stats.extras["shards"] = self.shards
         stats.extras["index_builds"] = len(tasks)
         stats.extras["routed_probes"] = sum(len(task.probes) for task in tasks)
-        for key in SHARD_EXTRAS:
-            stats.extras[key] = 0
-        return tasks
-
-    def _payload(self, task: _ShardTask, policy: GovernancePolicy | None = None):
-        return (
-            task.shard_id,
-            self.algorithm,
-            self.algorithm_kwargs,
-            task.s_part,
-            task.probes,
-            self.index_transform,
-            policy,
-        )
+        return _ShardSupervisor(self, tasks, parts)
 
     # ------------------------------------------------------------------
     # Join driver
     # ------------------------------------------------------------------
     def join(self, r: Relation, s: Relation) -> JoinResult:
-        """Compute ``R ⋈⊇ S`` across shards with retry/timeout/fallback."""
-        stats = JoinStats(algorithm=f"sharded-{self.algorithm}")
-        tasks = self._make_tasks(r, s, stats)
+        """Compute ``R ⋈⊇ S`` across shards with retry/timeout/fallback.
 
-        if self.workers == 1:
-            outcomes = [self._run_shard_inline(task, stats) for task in tasks]
-        else:
-            outcomes = self._run_shards_pooled(tasks, stats)
-
-        # Merge in shard-id order — task lists are already ascending and
-        # the pooled driver writes results back by position, so the fold
-        # (and the concatenated pair list) is deterministic regardless of
-        # completion order.
-        pairs: list[tuple[int, int]] = []
-        for shard_pairs, shard_stats in outcomes:
-            pairs.extend(shard_pairs)
-            merge_stats(stats, shard_stats)
-        return JoinResult(pairs, stats)
-
-    # ------------------------------------------------------------------
-    # In-process execution (workers == 1)
-    # ------------------------------------------------------------------
-    def _run_shard_inline(
-        self, task: _ShardTask, stats: JoinStats
-    ) -> tuple[list[tuple[int, int]], JoinStats]:
-        """Run one shard in-process, retrying per the policy."""
-        last_error: Exception | None = None
-        while task.attempts < self.retry_policy.max_attempts:
-            task.attempts += 1
-            if task.attempts > 1:
-                stats.extras["retries"] += 1
-                delay = self.retry_policy.delay(task.attempts - 1)
-                current_tracer().record("retry", delay, {"retries": 1})
-                time.sleep(delay)
-            try:
-                shard_pairs, shard_stats = _join_shard(self._payload(task))
-                self._check_result(task, shard_pairs, stats)
-                return shard_pairs, shard_stats
-            except GovernanceError:
-                # Deadline/cancel/budget bounds are terminal by design:
-                # retrying a shard cannot buy back elapsed wall time.
-                raise
-            except Exception as exc:  # noqa: BLE001 - any shard fault is retryable
-                last_error = exc
-        return self._exhausted(task, stats, last_error)
-
-    # ------------------------------------------------------------------
-    # Pooled execution (workers > 1)
-    # ------------------------------------------------------------------
-    def _run_shards_pooled(
-        self, tasks: list[_ShardTask], stats: JoinStats
-    ) -> list[tuple[list[tuple[int, int]], JoinStats]]:
-        """Drive all shards through a worker pool, recovering losses."""
-        results: list[tuple[list[tuple[int, int]], JoinStats] | None] = [None] * len(tasks)
-        positions = {task.shard_id: i for i, task in enumerate(tasks)}
-        pool = self._make_pool()
-        pending: dict[Future, _ShardTask] = {}
-        abandoned = False
-        completed = False
-        gov = governor("probe", stats)
-        try:
-            for task in tasks:
-                self._submit(pool, task, pending)
-            while pending:
-                # Parent-side bound check once per scheduling round, so a
-                # breach stops the join even when every worker is wedged.
-                if gov is not None:
-                    gov.poll()
-                done = self._wait_round(pending)
-                pool_broken = False
-                for future in done:
-                    task = pending.pop(future)
-                    try:
-                        shard_pairs, shard_stats = future.result()
-                        self._check_result(task, shard_pairs, stats)
-                        record_shard_span(current_tracer(), task.shard_id, shard_stats)
-                        results[positions[task.shard_id]] = (shard_pairs, shard_stats)
-                        continue
-                    except BrokenProcessPool:
-                        pool_broken = True
-                        retry_now = False
-                    except GovernanceError:
-                        # A worker hit the deadline/cancel bound: terminal,
-                        # never retried, never completed via fallback.
-                        raise
-                    except Exception as exc:  # noqa: BLE001 - retryable shard fault
-                        last_error = exc
-                        retry_now = True
-                    if retry_now:
-                        if task.attempts < self.retry_policy.max_attempts:
-                            stats.extras["retries"] += 1
-                            delay = self.retry_policy.delay(task.attempts)
-                            current_tracer().record("retry", delay, {"retries": 1})
-                            time.sleep(delay)
-                            self._submit(pool, task, pending)
-                        else:
-                            results[positions[task.shard_id]] = self._exhausted(
-                                task, stats, last_error
-                            )
-                    else:
-                        # Pool broke under this shard: resubmission waits
-                        # for the pool restart below.
-                        pending[future] = task
-                if pool_broken:
-                    pool = self._restart_pool(pool, pending, positions, results, stats)
-                abandoned |= self._expire_overdue(pending, positions, results, stats)
-            completed = True
-        except GovernanceError:
-            # Record how many shards the abort stranded before the finally
-            # block force-terminates their workers.
-            cancelled = sum(1 for outcome in results if outcome is None)
-            stats.extras["cancelled_chunks"] = (
-                stats.extras.get("cancelled_chunks", 0) + cancelled
-            )
-            current_tracer().record("governance", 0.0, {"cancelled_chunks": cancelled})
-            raise
-        finally:
-            self._shutdown_pool(pool, force=abandoned or not completed)
-        assert all(outcome is not None for outcome in results)
-        return results  # type: ignore[return-value]
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        """Create the worker pool; shard payloads carry their own state."""
-        import multiprocessing
-
-        context = (
-            multiprocessing.get_context(self.start_method)
-            if self.start_method is not None
-            else None
-        )
-        return ProcessPoolExecutor(
-            max_workers=min(self.workers, max(1, self.shards)), mp_context=context
-        )
-
-    def _submit(
-        self, pool: ProcessPoolExecutor, task: _ShardTask, pending: dict[Future, _ShardTask]
-    ) -> None:
-        """Submit one attempt for ``task`` and start its timeout clock."""
-        task.attempts += 1
-        policy = current_policy()
-        if policy is not None:
-            policy = policy.worker_policy()
-        future = pool.submit(_join_shard, self._payload(task, policy))
-        if self.timeout_seconds is not None:
-            task.deadline = monotonic() + self.timeout_seconds
-        pending[future] = task
-
-    def _wait_round(self, pending: dict[Future, _ShardTask]) -> set[Future]:
-        """Block until a future completes or the nearest bound passes.
-
-        As in the resilient executor, the wait is capped by the active
-        governance policy (deadline remaining; 50ms when a cancel token
-        is armed) so the blocked parent wakes to poll.
+        Outcomes merge in shard-id order: tasks are ascending and the
+        supervisor writes results back by position, so the fold (and the
+        concatenated pair list) is deterministic regardless of
+        completion order.
         """
-        wait_timeout: float | None = None
-        if self.timeout_seconds is not None:
-            nearest = min(task.deadline for task in pending.values() if task.deadline)
-            wait_timeout = max(0.0, nearest - monotonic())
-        policy = current_policy()
-        if policy is not None:
-            if policy.cancel is not None:
-                wait_timeout = 0.05 if wait_timeout is None else min(wait_timeout, 0.05)
-            if policy.deadline is not None:
-                remaining = max(0.0, policy.deadline.remaining())
-                wait_timeout = (
-                    remaining if wait_timeout is None else min(wait_timeout, remaining)
-                )
-        done, _ = wait(set(pending), timeout=wait_timeout, return_when=FIRST_COMPLETED)
-        return done
+        stats = JoinStats(algorithm=f"sharded-{self.algorithm}")
+        return self._supervisor(r, s, stats).run(stats)
 
-    def _restart_pool(
+
+class _ShardSupervisor(Supervisor):
+    """The recovery ladder over self-contained shard build+probe tasks."""
+
+    noun = "shard"
+    verb = "joining"
+    sources = "the routed probes / shard partition"
+
+    def __init__(self, executor: ShardedJoin, tasks: list[Task], parts: list[Relation]) -> None:
+        super().__init__(executor, tasks)
+        self.executor = executor
+        #: Each task's S-partition, by task position.
+        self.parts = parts
+
+    def _payload(
         self,
-        pool: ProcessPoolExecutor,
-        pending: dict[Future, _ShardTask],
-        positions: dict[int, int],
-        results: list,
-        stats: JoinStats,
-    ) -> ProcessPoolExecutor:
-        """Replace a broken pool and resubmit every in-flight shard."""
-        stats.extras["pool_restarts"] += 1
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.count("pool_restarts")
-        stranded = list(pending.values())
-        pending.clear()
-        pool.shutdown(wait=False, cancel_futures=True)
-        pool = self._make_pool()
-        for task in stranded:
-            if task.attempts < self.retry_policy.max_attempts:
-                stats.extras["retries"] += 1
-                delay = self.retry_policy.delay(task.attempts)
-                tracer.record("retry", delay, {"retries": 1})
-                time.sleep(delay)
-                self._submit(pool, task, pending)
-            else:
-                results[positions[task.shard_id]] = self._exhausted(
-                    task, stats,
-                    WorkerError(f"worker died while joining shard {task.shard_id}"),
-                )
-        return pool
+        task: Task,
+        transform: Callable[[PreparedIndex], PreparedIndex] | None,
+        policy: GovernancePolicy | None,
+    ) -> ShardPayload:
+        return (
+            task.label,
+            self.executor.algorithm,
+            self.executor.algorithm_kwargs,
+            self.parts[task.position],
+            task.probes,
+            transform,
+            policy,
+        )
 
-    def _expire_overdue(
-        self,
-        pending: dict[Future, _ShardTask],
-        positions: dict[int, int],
-        results: list,
-        stats: JoinStats,
-    ) -> bool:
-        """Abandon shards past their deadline; rebuild them in the parent."""
-        if self.timeout_seconds is None:
-            return False
-        now = monotonic()
-        overdue = [
-            future
-            for future, task in pending.items()
-            if not future.done() and task.deadline is not None and task.deadline <= now
-        ]
-        abandoned = False
-        for future in overdue:
-            task = pending.pop(future)
-            if not future.cancel():
-                abandoned = True
-            stats.extras["timeouts"] += 1
-            current_tracer().record("timeout", 0.0, {"timeouts": 1})
-            if not self.fallback:
-                raise JoinTimeoutError(
-                    f"shard {task.shard_id} exceeded its {self.timeout_seconds}s budget "
-                    f"on attempt {task.attempts} and fallback is disabled"
-                )
-            results[positions[task.shard_id]] = self._fallback(task, stats)
-        return abandoned
+    def new_pool(self) -> ProcessPoolExecutor:
+        """A pool with no initializer state: shard payloads carry their own."""
+        return ProcessPoolExecutor(
+            max_workers=min(self.workers, max(1, self.executor.shards)), mp_context=self.context
+        )
 
-    # ------------------------------------------------------------------
-    # Last resorts
-    # ------------------------------------------------------------------
-    def _exhausted(
-        self, task: _ShardTask, stats: JoinStats, last_error: Exception | None
-    ) -> tuple[list[tuple[int, int]], JoinStats]:
-        """Retries used up: rebuild in the parent or raise."""
-        if not self.fallback:
-            raise RetryExhaustedError(
-                f"shard {task.shard_id} failed all {task.attempts} attempts: {last_error}",
-                attempts=task.attempts,
-            ) from last_error
-        return self._fallback(task, stats)
+    def send(self, pool: ProcessPoolExecutor, task: Task) -> Future[Outcome]:
+        payload = self._payload(task, self.executor.index_transform, worker_policy())
+        return pool.submit(_join_shard, payload)
 
-    def _fallback(
-        self, task: _ShardTask, stats: JoinStats
-    ) -> tuple[list[tuple[int, int]], JoinStats]:
+    def attempt(self, task: Task) -> Outcome:
+        return _join_shard(self._payload(task, self.executor.index_transform, None))
+
+    def last_resort(self, task: Task) -> Outcome:
         """Rebuild and probe one lost shard in the parent process.
 
         Deliberately bypasses ``index_transform``: whatever fault wrapper
@@ -610,44 +396,10 @@ class ShardedJoin(BaseExecutor):
         pristine S-partition.  The rebuild's cost lands in the shard's
         returned stats, so the merge still accounts for it.
         """
-        stats.extras["fallback_shards"] += 1
-        current_tracer().record("fallback", 0.0, {"fallback_shards": 1})
-        payload = (
-            task.shard_id,
-            self.algorithm,
-            self.algorithm_kwargs,
-            task.s_part,
-            task.probes,
-            None,
-            None,
-        )
-        return _join_shard(payload)
+        return _join_shard(self._payload(task, None, None))
 
-    def _check_result(
-        self, task: _ShardTask, pairs: list[tuple[int, int]], stats: JoinStats
-    ) -> None:
-        """Reject shard output referencing tuples the shard never held."""
-        if not self.validate_results:
-            return
-        probe_ids = frozenset(rec.rid for rec in task.probes)
-        s_ids = frozenset(rec.rid for rec in task.s_part)
-        for r_id, s_id in pairs:
-            if r_id not in probe_ids or s_id not in s_ids:
-                stats.extras["corrupt_shards"] += 1
-                raise WorkerError(
-                    f"shard {task.shard_id} returned corrupt pair ({r_id}, {s_id}): "
-                    "ids do not belong to the routed probes / shard partition"
-                )
-
-    @staticmethod
-    def _shutdown_pool(pool: ProcessPoolExecutor, force: bool) -> None:
-        """Shut the pool down; terminate workers when any were abandoned."""
-        if force:
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                proc.terminate()
-            pool.shutdown(wait=False, cancel_futures=True)
-        else:
-            pool.shutdown(wait=True, cancel_futures=True)
+    def record(self, task: Task, task_stats: JoinStats) -> None:
+        record_shard_span(current_tracer(), task.label, task_stats)
 
 
 def sharded_join(

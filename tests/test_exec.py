@@ -9,9 +9,8 @@ Three things the PR 6 refactor promises:
   :data:`repro.exec.EXECUTOR_CLASSES` registry with no per-class
   branches, and rejects unknown executor names with
   :class:`~repro.errors.PlanError`;
-* the remaining pre-refactor import path (``repro.external.disk_join``)
-  keeps working but emits :class:`DeprecationWarning`, re-exporting the
-  *same* object.
+* the ``repro.future`` and ``repro.external`` package inits re-export
+  the *same* executor objects, without a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -143,27 +142,8 @@ def test_planned_sharded_join_executes(rs_pair):
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims
+# Package re-exports
 # ----------------------------------------------------------------------
-SHIMS = {
-    "repro.external.disk_join": ("DiskPartitionedJoin", DiskPartitionedJoin),
-}
-
-
-@pytest.mark.parametrize("module_name", sorted(SHIMS))
-def test_old_import_path_warns_and_reexports(module_name):
-    symbol, expected = SHIMS[module_name]
-    sys.modules.pop(module_name, None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        module = importlib.import_module(module_name)
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert deprecations, f"{module_name} import did not warn"
-    assert "repro.exec" in str(deprecations[0].message)
-    # The shim re-exports the same object, not a divergent copy.
-    assert getattr(module, symbol) is expected
-
-
 def test_package_inits_do_not_warn():
     # repro.future / repro.external themselves import from repro.exec, so
     # existing `from repro.future import ParallelJoin` code stays silent.

@@ -43,6 +43,10 @@ from repro.testing.faults import (
 )
 from tests.conftest import oracle_pairs, random_relation
 
+#: A pool manager thread that dies (e.g. on a future cancelled under it)
+#: fails the drill instead of passing with a warning.
+pytestmark = pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+
 #: Optional start-method override so CI can drill both fork and spawn.
 START_METHOD = os.environ.get("REPRO_START_METHOD") or None
 

@@ -47,6 +47,10 @@ from repro.testing.faults import (
 )
 from tests.conftest import oracle_pairs, random_relation
 
+#: A pool manager thread that dies (e.g. on a future cancelled under it)
+#: fails the drill instead of passing with a warning.
+pytestmark = pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+
 #: Optional start-method override so CI can drill both fork and spawn.
 START_METHOD = os.environ.get("REPRO_START_METHOD") or None
 
@@ -345,7 +349,8 @@ def test_worker_error_message_names_the_shard(rs_pair, tmp_path):
     r, s = rs_pair
     join = make_join(workers=1, shards=2, validate_results=True)
     stats = JoinStats()
-    tasks = join._make_tasks(r, s, stats)
+    supervisor = join._supervisor(r, s, stats)
+    stats.extras["corrupt_shards"] = 0
     with pytest.raises(WorkerError, match="shard 0"):
-        join._check_result(tasks[0], [(10_000, 10_000)], stats)
+        supervisor.check(supervisor.tasks[0], [(10_000, 10_000)], stats)
     assert stats.extras["corrupt_shards"] == 1
