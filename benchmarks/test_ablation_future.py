@@ -1,23 +1,18 @@
-"""Ablation: the Sec. VI future-work directions against PTSJ.
+"""Ablation: Sec. VI multi-core execution against PTSJ.
 
 The paper's conclusion proposes multi-way tries, trie-trie joins and
-multi-core execution as follow-ups.  This benchmark puts the three
-implementations (:mod:`repro.future`) next to PTSJ on one mid-range
-workload to show where each stands:
+multi-core execution as follow-ups.  Only the last is kept: sketches of
+the first two lost to PTSJ and PRETTI+ on every shape measured and were
+removed (EXPERIMENTS.md, Sec. VI row).  This benchmark puts chunked
+parallel PTSJ (1 worker, k chunks) next to PTSJ on one mid-range
+workload as an overhead-only ceiling check: the chunked run must stay
+close to the monolithic one, since speed-up on real cores is outside a
+single-process benchmark's reach.
 
-* MWTSJ (16-ary trie) — competitive with PTSJ; trades Patricia path
-  compression for fan-out;
-* trie-trie — amortises shared probe prefixes but pays a pair-frontier;
-* parallel PTSJ (1 worker, k chunks) — overhead-only ceiling check: the
-  chunked run must stay close to the monolithic one, since speed-up on
-  real cores is outside a single-process benchmark's reach.
-
-Correctness of all variants against the same output is asserted.
+Both runs must produce the same output.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from benchmarks.figrecorder import RESULTS, run_and_record
 from repro.bench.harness import dataset_pair
@@ -32,16 +27,15 @@ CONFIG = SyntheticConfig(size=1024, avg_cardinality=32, domain=2 ** 9, seed=170,
 OUTPUTS: dict[str, frozenset] = {}
 
 
-@pytest.mark.parametrize("algorithm", ["ptsj", "mwtsj", "trie-trie"])
-def test_ablation_future_algorithms(benchmark, algorithm):
+def test_ablation_future_ptsj(benchmark):
     r, s = dataset_pair(CONFIG)
 
     def run():
-        result = make_algorithm(algorithm).join(r, s)
-        OUTPUTS[algorithm] = result.pair_set()
+        result = make_algorithm("ptsj").join(r, s)
+        OUTPUTS["ptsj"] = result.pair_set()
         return result
 
-    run_and_record(benchmark, FIGURE, CONFIG.name, algorithm, run)
+    run_and_record(benchmark, FIGURE, CONFIG.name, "ptsj", run)
 
 
 def test_ablation_future_parallel(benchmark):

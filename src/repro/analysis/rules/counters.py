@@ -1,8 +1,8 @@
 """RPR007 — JoinStats counter discipline.
 
 The registry guarantees bit-for-bit JoinStats parity between ``join()``
-and ``prepare()+probe_many()`` for all 8 algorithms, and the differential
-harness asserts it.  That only holds if algorithms mutate the documented
+and ``prepare()+probe_many()`` for every registry algorithm, and the
+differential harness asserts it.  That only holds if algorithms mutate the documented
 counters — inventing an ad-hoc field on a stats object bypasses
 ``merge_chunk_stats``, the metrics snapshot and the golden files at once.
 Free-form data belongs in ``stats.extras[...]`` (a subscript write, which

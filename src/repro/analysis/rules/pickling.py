@@ -1,8 +1,7 @@
 """RPR002 — pickle-safety at the process boundary.
 
-Everything submitted to a pool in :mod:`repro.exec` (and its historical
-home :mod:`repro.future`), and every ``Process(target=...)`` started
-there, crosses a process boundary, and under the ``spawn`` start method
+Everything submitted to a pool in :mod:`repro.exec`, and every
+``Process(target=...)`` started there, crosses a process boundary, and under the ``spawn`` start method
 (the CI matrix runs both ``fork`` and ``spawn``) the callable is pickled
 by reference.  Lambdas, nested closures and bound methods are not
 picklable, so a submission that works under ``fork`` dies with a
@@ -30,7 +29,7 @@ SUBMIT_METHODS = frozenset({"submit", "map"})
 #: initializer and a ``Process``'s entry point.
 CALLABLE_KWARGS = frozenset({"initializer", "target"})
 
-SCOPED_PACKAGES = ("repro.exec", "repro.future")
+SCOPED_PACKAGES = ("repro.exec",)
 
 
 def _nested_function_names(tree: ast.Module) -> frozenset[str]:

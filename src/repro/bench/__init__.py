@@ -20,7 +20,7 @@ from repro.bench.harness import (
     run_algorithm,
     sweep,
 )
-from repro.bench.memory import deep_sizeof, index_memory_bytes, memory_per_tuple
+from repro.bench.memory import deep_sizeof, memory_per_tuple
 from repro.bench.reporting import (
     fmt_bytes,
     fmt_seconds,
@@ -53,7 +53,6 @@ __all__ = [
     "dataset_pair",
     "clear_dataset_cache",
     "deep_sizeof",
-    "index_memory_bytes",
     "memory_per_tuple",
     "format_table",
     "format_series",

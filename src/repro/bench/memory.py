@@ -3,9 +3,10 @@
 The paper's Fig. 6a reports *main-memory consumption per tuple* of each
 algorithm's index.  :func:`deep_sizeof` recursively measures a Python
 object graph (handling ``__slots__``, dicts, sequences and shared
-sub-objects), and :func:`index_memory_bytes` knows which attributes
-constitute each algorithm's index so per-algorithm footprints are
-comparable.
+sub-objects), and :func:`memory_per_tuple` applies it to what each
+prepared index reports through
+:meth:`~repro.core.base.PreparedIndex.memory_objects`, so per-algorithm
+footprints are comparable.
 
 Absolute bytes are Python-object bytes (boxed ints, dict overhead), far
 above the paper's Java numbers — the reproduction target is the *relative*
@@ -18,11 +19,10 @@ from __future__ import annotations
 import sys
 from typing import Any
 
-from repro.core.base import SetContainmentJoin
 from repro.core.registry import make_algorithm
 from repro.relations.relation import Relation
 
-__all__ = ["deep_sizeof", "index_memory_bytes", "memory_per_tuple"]
+__all__ = ["deep_sizeof", "memory_per_tuple"]
 
 
 def deep_sizeof(obj: Any, _seen: set[int] | None = None) -> int:
@@ -62,36 +62,6 @@ def deep_sizeof(obj: Any, _seen: set[int] | None = None) -> int:
     return total
 
 
-#: Attributes holding each algorithm's index structures.
-_INDEX_ATTRIBUTES: dict[str, tuple[str, ...]] = {
-    "ptsj": ("trie",),
-    "tsj": ("trie",),
-    "shj": ("buckets",),
-    "pretti": ("trie", "index"),
-    "pretti+": ("trie", "index"),
-    "mwtsj": ("trie",),
-    "trie-trie": ("r_trie", "s_trie"),
-}
-
-
-def index_memory_bytes(algorithm: SetContainmentJoin) -> int:
-    """Deep size of the index structures built by ``algorithm``.
-
-    The algorithm must have executed a ``join`` or ``prepare`` already so
-    the structures exist (0 otherwise).  Unknown algorithms fall back to
-    measuring the whole instance.
-    """
-    attributes = _INDEX_ATTRIBUTES.get(algorithm.name)
-    if attributes is None:
-        return deep_sizeof(algorithm)
-    seen: set[int] = set()
-    return sum(
-        deep_sizeof(getattr(algorithm, attr), seen)
-        for attr in attributes
-        if getattr(algorithm, attr, None) is not None
-    )
-
-
 def memory_per_tuple(name: str, r: Relation, s: Relation, **kwargs) -> float:
     """Build ``name``'s index for ``R ⋈⊇ S`` and report bytes per tuple.
 
@@ -99,9 +69,7 @@ def memory_per_tuple(name: str, r: Relation, s: Relation, **kwargs) -> float:
     indexed tuples, measured through the prepared index's
     :meth:`~repro.core.base.PreparedIndex.memory_objects`.  PRETTI/PRETTI+
     index both relations (trie on ``S``, inverted file on ``R``), so their
-    divisor is ``|R| + |S|``; signature algorithms index only ``S``
-    (trie-trie's probe-side R-trie is measured but, as probe-batch state,
-    not added to the divisor).
+    divisor is ``|R| + |S|``; signature algorithms index only ``S``.
     """
     algorithm = make_algorithm(name, **kwargs)
     prepared = algorithm.prepare(s, probe_hint=r)

@@ -391,8 +391,8 @@ class PreparedIndex(ABC):
         """The objects constituting this index, for memory measurement.
 
         Algorithms that also need probe-side structures (PRETTI's inverted
-        file, trie-trie's R-trie) include them when ``probe_relation`` is
-        given, matching the paper's Fig. 6a accounting.
+        file) include them when ``probe_relation`` is given, matching the
+        paper's Fig. 6a accounting.
         """
         return [self]
 

@@ -34,7 +34,7 @@ from repro.core.base import (
     SetContainmentJoin,
 )
 from repro.governance.policy import Governor, governor
-from repro.kernels import KernelBackend, SignaturePack, get_backend
+from repro.kernels import KernelBackend, get_backend
 from repro.obs.tracer import current_tracer
 from repro.obs.clock import perf_counter
 from repro.relations.relation import Relation, SetRecord
@@ -115,9 +115,6 @@ class SignaturePreparedIndex(PreparedIndex):
         self._algorithm = algorithm
         assert algorithm.scheme is not None
         self.exact_signatures = algorithm.scheme.is_exact_for(compute_stats(relation).max_element)
-        # (pack, rids) of the whole relation, built on the first
-        # scan_candidates/scan_superset_candidates call; joins never read it.
-        self._scan: tuple[SignaturePack, tuple[int, ...]] | None = None
 
     @property
     def scheme(self) -> SignatureScheme:
@@ -239,56 +236,11 @@ class SignaturePreparedIndex(PreparedIndex):
                 tracer.registry.counter("leaf_hits").inc(leaf_hits)
         return pairs
 
-    # ------------------------------------------------------------------
-    # Kernel-backed whole-relation signature scans
-    # ------------------------------------------------------------------
     @property
     def kernel(self) -> KernelBackend:
         """The kernel backend captured when this index was built."""
         assert self._algorithm.kernel is not None
         return self._algorithm.kernel
-
-    @property
-    def signature_pack(self) -> SignaturePack:
-        """Every indexed record's signature, packed on first use."""
-        return self._scan_pack()[0]
-
-    def _scan_pack(self) -> tuple[SignaturePack, tuple[int, ...]]:
-        # Benign idempotent init: concurrent first scans may each build
-        # the pack, but they build equal values and the tuple is bound in
-        # one assignment, so every reader sees a complete (pack, rids).
-        scan = self._scan
-        if scan is None:
-            signature = self.scheme.signature
-            sigs = [signature(rec.elements) for rec in self.relation]
-            rids = tuple(rec.rid for rec in self.relation)
-            scan = (self.kernel.pack_signatures(sigs, self.scheme.bits), rids)
-            self._scan = scan
-        return scan
-
-    def scan_candidates(self, record: SetRecord) -> list[int]:
-        """Ids of indexed records whose signature ``⊑`` the probe's.
-
-        One batched kernel call over the whole relation — the flat
-        (enumeration-free) form of the signature filter.  The result is a
-        superset of what trie/bucket enumeration admits for the same
-        probe (enumeration only prunes, never adds), so it serves as a
-        prefilter and a cross-check.  The first call packs the relation.
-        Does not touch any ``JoinStats`` counters.
-        """
-        pack, rids = self._scan_pack()
-        sig = self.scheme.signature(record.elements)
-        return [rids[i] for i in self.kernel.filter_subset_batch(pack, sig)]
-
-    def scan_superset_candidates(self, record: SetRecord) -> list[int]:
-        """Ids of indexed records whose signature covers the probe's.
-
-        The superset-join direction (``probe ⊑ indexed``), batched the
-        same way; the candidate prefilter for ``R ⋈⊆ S``.
-        """
-        pack, rids = self._scan_pack()
-        sig = self.scheme.signature(record.elements)
-        return [rids[i] for i in self.kernel.filter_superset_batch(pack, sig)]
 
     def memory_objects(self, probe_relation: Relation | None = None) -> list[Any]:
         objs: list[Any] = []
@@ -298,8 +250,6 @@ class SignaturePreparedIndex(PreparedIndex):
                 objs.append(value)
         if not objs:
             objs.append(self._algorithm)
-        if self._scan is not None:
-            objs.append(self._scan)
         return objs
 
 

@@ -54,7 +54,6 @@ __all__ = [
 ]
 
 #: Registry of algorithms: public name -> ``(module path, class name)``.
-#: The last two are the paper's Sec. VI future-work directions.
 ALGORITHMS: dict[str, tuple[str, str]] = {
     "ptsj": ("repro.core.ptsj", "PTSJ"),
     "pretti+": ("repro.core.pretti_plus", "PRETTIPlus"),
@@ -62,8 +61,6 @@ ALGORITHMS: dict[str, tuple[str, str]] = {
     "pretti": ("repro.baselines.pretti", "PRETTI"),
     "tsj": ("repro.baselines.tsj", "TSJ"),
     "nested-loop": ("repro.baselines.nested_loop", "NestedLoopJoin"),
-    "mwtsj": ("repro.future.multiway", "MWTSJ"),
-    "trie-trie": ("repro.future.trie_trie", "TrieTrieJoin"),
 }
 
 #: Aliases accepted by :func:`make_algorithm`.

@@ -5,28 +5,23 @@ the planner, the join server's warm path — ultimately funnels into two
 tight inner operations: the signature containment filter
 (``sub & ~sup == 0`` per candidate) and sorted posting-list
 intersection.  A :class:`KernelBackend` packages *batch* forms of both
-so one call can filter every candidate of a bucket (or a whole
-relation) for a probe record instead of a per-candidate Python loop.
+so one call can filter every candidate of a bucket for a probe record
+instead of a per-candidate Python loop.
 
 The ABI is deliberately small:
 
 ``pack_signatures(signatures, bits)``
-    Pre-process a relation's (or bucket's) signatures once into
-    whatever layout the backend filters fastest — a plain tuple for the
-    pure-Python backend, a packed ``uint64`` matrix for the numpy
-    backend.  The resulting :class:`SignaturePack` is cached by its
-    owner (an SHJ bucket, a prepared index's scan pack) and reused by
-    every probe.
+    Pre-process a bucket's signatures once into whatever layout the
+    backend filters fastest — a plain tuple for the pure-Python
+    backend, a packed ``uint64`` matrix for the numpy backend.  The
+    resulting :class:`SignaturePack` is cached by its owner (an SHJ
+    bucket) and reused by every probe.
 
-``filter_subset_batch(pack, probe)`` / ``filter_superset_batch(pack, probe)``
+``filter_subset_batch(pack, probe)``
     Return the *indices* (ascending) of packed signatures that pass the
     containment filter against one probe signature.  Index order equals
     packing order, so callers translate rows back to entries/records
     without the backend knowing about either.
-
-``popcount_batch(pack)``
-    Per-row set-bit counts (signature weights), used for statistics and
-    cost modelling.
 
 ``intersect_sorted(a, b)``
     Intersection of two strictly-increasing integer sequences — the
@@ -36,10 +31,11 @@ The ABI is deliberately small:
 ``transpose_signatures(signatures, bits)``
     Turn a block of probe signatures into one bitset per logical bit
     position — the input of PTSJ's set-at-a-time Patricia walk.  Unlike
-    the five operations above it is a *concrete* method whose body is
-    the pure-Python reference, so a backend written against the
-    five-operation ABI (a timing proxy, a third-party registration)
-    keeps working unchanged; backends override it only to go faster.
+    the three operations above it is a *concrete* method whose body is
+    the pure-Python reference, so a backend that implements only the
+    three abstract operations (a timing proxy, a third-party
+    registration) keeps working unchanged; backends override it only to
+    go faster.
 
 ``modulo_signatures(sets, bits)``
     Hash a whole relation with the paper's ``x mod b`` scheme in one
@@ -132,14 +128,6 @@ class KernelBackend(ABC):
         The signature filter of every containment join: a packed
         signature survives iff every set bit appears in ``probe``.
         """
-
-    @abstractmethod
-    def filter_superset_batch(self, pack: SignaturePack, probe: int) -> list[int]:
-        """Rows ``i`` (ascending) with ``probe ⊑ pack[i]`` (superset join)."""
-
-    @abstractmethod
-    def popcount_batch(self, pack: SignaturePack) -> list[int]:
-        """Per-row number of set bits, in packing order."""
 
     # ------------------------------------------------------------------
     # Posting-list kernel

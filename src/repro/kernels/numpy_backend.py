@@ -2,7 +2,7 @@
 
 Signatures are packed MSB-first into ``ceil(bits / 64)`` 64-bit words
 per row, so an ``[n, words]`` ``uint64`` matrix holds a whole bucket
-(or relation) and one vectorized ``&``/``== 0`` pass answers the
+and one vectorized ``&``/``== 0`` pass answers the
 containment filter for every row at once — the batch form of
 ``sub & ~sup == 0``.
 
@@ -61,20 +61,13 @@ def _to_matrix(signatures: Sequence[int], bits: int, np) -> "tuple":
 
 
 class NumpySignaturePack(SignaturePack):
-    """Packed signatures as a ``[n, words]`` ``uint64`` matrix.
+    """Packed signatures as a ``[n, words]`` ``uint64`` matrix."""
 
-    ``inverse`` holds ``~matrix``, precomputed once so the superset
-    filter never materializes an ``[n, words]`` temporary per probe —
-    both filters are memory-bound, so per-call full-size temporaries are
-    the dominant cost.
-    """
-
-    __slots__ = ("matrix", "inverse", "words")
+    __slots__ = ("matrix", "words")
 
     def __init__(self, signatures: Sequence[int], bits: int, np) -> None:
         super().__init__("numpy", bits, len(signatures))
         self.matrix, self.words = _to_matrix(signatures, bits, np)
-        self.inverse = ~self.matrix
 
 
 class NumpyKernel(KernelBackend):
@@ -96,12 +89,6 @@ class NumpyKernel(KernelBackend):
     def pack_signatures(self, signatures: Sequence[int], bits: int) -> NumpySignaturePack:
         return NumpySignaturePack(signatures, bits, self._np)
 
-    def _probe_words(self, probe: int, words: int):
-        np = self._np
-        return np.frombuffer(
-            probe.to_bytes(words * 8, "big"), dtype=">u8"
-        ).astype(np.uint64)
-
     def filter_subset_batch(self, pack: SignaturePack, probe: int) -> list[int]:
         # A row is admitted when every word of ``row & ~probe`` is zero;
         # ``any`` on the masked uint64 words tests that directly, without
@@ -110,26 +97,10 @@ class NumpyKernel(KernelBackend):
         if len(pack) == 0:
             return []
         np = self._np
-        mask = ~self._probe_words(probe, pack.words)
+        probe_words = np.frombuffer(probe.to_bytes(pack.words * 8, "big"), dtype=">u8")
+        mask = ~probe_words.astype(np.uint64)
         conflicts = (pack.matrix & mask).any(axis=1)
         return np.flatnonzero(~conflicts).tolist()
-
-    def filter_superset_batch(self, pack: SignaturePack, probe: int) -> list[int]:
-        assert isinstance(pack, NumpySignaturePack)
-        if len(pack) == 0:
-            return []
-        np = self._np
-        probe_words = self._probe_words(probe, pack.words)
-        conflicts = (probe_words & pack.inverse).any(axis=1)
-        return np.flatnonzero(~conflicts).tolist()
-
-    def popcount_batch(self, pack: SignaturePack) -> list[int]:
-        assert isinstance(pack, NumpySignaturePack)
-        if len(pack) == 0:
-            return []
-        np = self._np
-        counts = np.bitwise_count(pack.matrix)
-        return counts.sum(axis=1, dtype=np.int64).tolist()
 
     def transpose_signatures(self, signatures: Sequence[int], bits: int) -> list[int]:
         # One byte row per signature -> one bit column per logical

@@ -89,14 +89,6 @@ class PythonKernel(KernelBackend):
         mask = ~probe
         return [i for i, sig in enumerate(pack.signatures) if sig & mask == 0]
 
-    def filter_superset_batch(self, pack: SignaturePack, probe: int) -> list[int]:
-        assert isinstance(pack, PythonSignaturePack)
-        return [i for i, sig in enumerate(pack.signatures) if probe & ~sig == 0]
-
-    def popcount_batch(self, pack: SignaturePack) -> list[int]:
-        assert isinstance(pack, PythonSignaturePack)
-        return [sig.bit_count() for sig in pack.signatures]
-
     def intersect_sorted(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Adaptive strategy: lists within a factor ``GALLOP_RATIO`` of
         each other in length take the linear merge; otherwise galloping

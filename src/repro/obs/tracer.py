@@ -66,7 +66,6 @@ PHASES = (
     "verify",
     "invert",
     "traverse",
-    "probe_trie_build",
     "spill",
     "load",
     "shard",

@@ -132,7 +132,7 @@ class Planner:
                 effective_r, s_stats, workload, executor
             )
             decisions.append(chunk_decision)
-            decisions.append(self._decide_kernel(effective_r, s_stats, chosen, bits))
+            decisions.append(self._decide_kernel())
             if workload.deadline_seconds is not None:
                 decisions.append(self._decide_governance(workload, chosen_cost))
             executor_options.update(chunk_options)
@@ -554,57 +554,42 @@ class Planner:
     # ------------------------------------------------------------------
     # Decision: kernel backend
     # ------------------------------------------------------------------
-    def _decide_kernel(
-        self, r: RelationStats, s: RelationStats, algorithm: str, bits: int
-    ) -> Decision:
+    def _decide_kernel(self) -> Decision:
         """Record which batch-kernel backend the probe loop will run on.
 
         The backend is process state (explicit ``set_default_backend`` /
         CLI ``--backend``, else ``REPRO_KERNEL``, else auto-selection),
-        not something the planner chooses — but the plan records it with
-        the per-backend cost constants applied, so EXPLAIN shows what
-        each available backend would cost and executed stats can be
-        matched against the backend the plan assumed.
+        not something the planner chooses — but the plan records it, with
+        the other available backends, so EXPLAIN shows it and executed
+        stats can be matched against the backend the plan assumed.
         """
         chosen = active_backend_name()
         source = backend_source()
         avail = available_backends()
-        profile = self.profiles.get(algorithm)
         source_text = {
             "explicit": "set explicitly (set_default_backend / --backend)",
             "env": "forced by REPRO_KERNEL",
             "auto": "auto-selected (first importable of "
                     + " > ".join(avail if avail else ("python",)) + ")",
         }.get(source, source)
-        cost = (
-            profile.estimate_for_backend(r, s, bits, chosen)
-            if profile is not None
-            else None
-        )
         rejected = tuple(
             Alternative(
                 choice=backend,
                 reason="available; selection order is explicit > "
                        "REPRO_KERNEL > auto",
-                cost=profile.estimate_for_backend(r, s, bits, backend)
-                if profile is not None
-                else None,
             )
             for backend in avail
             if backend != chosen
         )
-        factor = profile.kernel_probe_factor(chosen) if profile is not None else 1.0
         return Decision(
             name="kernel",
             choice=chosen,
             reason=f"batch probe kernels run on the {chosen!r} backend, "
                    f"{source_text}",
-            cost=cost,
             rejected=rejected,
             detail=(
                 ("available", ", ".join(avail)),
                 ("source", source),
-                ("probe_factor", factor),
             ),
         )
 

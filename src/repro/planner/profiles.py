@@ -47,7 +47,6 @@ from repro.signatures.cost_model import (
 __all__ = [
     "CostProfile",
     "COST_PROFILES",
-    "KERNEL_PROBE_DISCOUNT",
     "cost_profile",
     "estimate_cost",
 ]
@@ -55,25 +54,6 @@ __all__ = [
 #: Exponent cap: beyond this the estimate is "infeasible", kept finite so
 #: comparisons and serialization stay well-behaved.
 _MAX_COST = 1e30
-
-#: Per-backend probe-cost multipliers by profile family.  The base
-#: estimators are calibrated against the pure-Python kernels; a vectorized
-#: backend discounts the probe side where its batch kernels actually land:
-#: the ``signature`` family's probe cost is dominated by the batched
-#: ``⊑`` filter (the kernel-speedup bench gates numpy at ≥2x there, hence
-#: 0.5), the ``inverted`` family only accelerates large posting-list
-#: intersections (small lists fall back to the merge kernel), and the
-#: ``oracle`` family does exact set comparisons no kernel touches.
-#: Unlisted backends/families default to 1.0 (no discount claimed).
-KERNEL_PROBE_DISCOUNT: dict[str, dict[str, float]] = {
-    "python": {},
-    "numpy": {
-        "signature": 0.5,
-        "inverted": 0.85,
-        "experimental": 0.9,
-    },
-}
-
 
 def _clamp(value: float) -> float:
     return min(value, _MAX_COST)
@@ -150,23 +130,6 @@ def _nested_loop(r: RelationStats, s: RelationStats, bits: int) -> CostEstimate:
     return CostEstimate(build=0.0, probe=_clamp(float(r_size) * s_size * c_s))
 
 
-def _mwtsj(r: RelationStats, s: RelationStats, bits: int) -> CostEstimate:
-    # Multiway TSJ batches probes through the trie; model as TSJ with a
-    # shared-traversal discount.
-    base = _tsj(r, s, bits)
-    return CostEstimate(build=base.build, probe=_clamp(base.probe * 0.5))
-
-
-def _trie_trie(r: RelationStats, s: RelationStats, bits: int) -> CostEstimate:
-    # Trie-vs-trie join builds tries on BOTH sides, then co-traverses.
-    r_size, s_size, c_r, c_s = _sizes(r, s)
-    est = estimate_ptsj_cost(r_size, s_size, c_s, bits)
-    return CostEstimate(
-        build=_clamp(float(r_size) * bits + s_size * bits),
-        probe=_clamp(est.query_cost + est.compare_cost),
-    )
-
-
 @dataclass(frozen=True)
 class CostProfile:
     """Planner-facing metadata for one registry algorithm.
@@ -174,8 +137,8 @@ class CostProfile:
     Attributes:
         name: Registry name.
         family: ``signature`` (filter-and-verify), ``inverted``
-            (intersection-based, verification-free), ``oracle``
-            (exhaustive) or ``experimental`` (Sec. VI future work).
+            (intersection-based, verification-free) or ``oracle``
+            (exhaustive).
         auto_eligible: Whether the planner may choose it automatically.
             Only the paper's two production algorithms are; everything
             else is still *estimated* (so it shows up, costed, among the
@@ -195,25 +158,6 @@ class CostProfile:
     def estimate(self, r: RelationStats, s: RelationStats, bits: int) -> CostEstimate:
         """Evaluate this algorithm's model at one configuration."""
         return self.estimator(r, s, bits)
-
-    def kernel_probe_factor(self, backend: str) -> float:
-        """This family's probe-cost multiplier under ``backend`` kernels."""
-        return KERNEL_PROBE_DISCOUNT.get(backend, {}).get(self.family, 1.0)
-
-    def estimate_for_backend(
-        self, r: RelationStats, s: RelationStats, bits: int, backend: str
-    ) -> CostEstimate:
-        """The model estimate with the backend's probe discount applied.
-
-        Build cost is backend-independent (index construction is plain
-        Python either way; signature packing is a small additive term the
-        model ignores); only probe work rides the batch kernels.
-        """
-        base = self.estimate(r, s, bits)
-        factor = self.kernel_probe_factor(backend)
-        if factor == 1.0:
-            return base
-        return CostEstimate(build=base.build, probe=_clamp(base.probe * factor))
 
     def estimate_sharded(
         self,
@@ -292,16 +236,6 @@ COST_PROFILES: dict[str, CostProfile] = {
         "nested-loop", "oracle", False,
         "exhaustive oracle, kept for verification only",
         False, _nested_loop,
-    ),
-    "mwtsj": CostProfile(
-        "mwtsj", "experimental", False,
-        "experimental Sec. VI direction, not auto-selected",
-        True, _mwtsj,
-    ),
-    "trie-trie": CostProfile(
-        "trie-trie", "experimental", False,
-        "experimental Sec. VI direction, not auto-selected",
-        True, _trie_trie,
     ),
 }
 

@@ -15,17 +15,13 @@ The containment relation between signatures (paper notation ``sig1 ⊑ sig2``)
 is ``sig1 & ~sig2 == 0``: every set bit of ``sig1`` is set in ``sig2``.
 
 Scalar ops live here; their *batch* forms (filter a whole packed array
-of signatures against one probe in a single call) route through the
-swappable kernel layer (:mod:`repro.kernels`) so a vectorized backend
-can serve them — see :func:`pack_signatures` / :func:`filter_subset_batch`.
+of signatures against one probe in a single call) are kernel operations
+(:mod:`repro.kernels`), so a vectorized backend can serve them.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.errors import SignatureError
-from repro.kernels import SignaturePack, get_backend
 
 __all__ = [
     "is_subset_sig",
@@ -39,10 +35,6 @@ __all__ = [
     "bits_to_sig",
     "full_mask",
     "validate_signature",
-    "pack_signatures",
-    "filter_subset_batch",
-    "filter_superset_batch",
-    "popcount_batch",
 ]
 
 
@@ -131,44 +123,6 @@ def sig_to_bits(sig: int, bits: int) -> str:
     """
     validate_signature(sig, bits)
     return format(sig, f"0{bits}b")
-
-
-def pack_signatures(
-    signatures: Sequence[int], bits: int, backend: str | None = None
-) -> SignaturePack:
-    """Pack many signatures for batch filtering (kernel-layer entry point).
-
-    Args:
-        signatures: ``bits``-wide ints, in the order row indices should
-            refer to.
-        bits: Signature width.
-        backend: Kernel backend name, or ``None`` for the process default.
-
-    The pack remembers which backend built it; the batch filters below
-    always dispatch to that backend, so a pack built at index time keeps
-    working even if the process default changes later.
-    """
-    return get_backend(backend).pack_signatures(signatures, bits)
-
-
-def filter_subset_batch(pack: SignaturePack, probe: int) -> list[int]:
-    """Batch ``⊑``: ascending rows ``i`` of ``pack`` with ``pack[i] ⊑ probe``.
-
-    One call replaces a per-candidate :func:`is_subset_sig` loop — the
-    signature filter of every containment join, vectorized when the
-    pack's backend supports it.
-    """
-    return get_backend(pack.backend).filter_subset_batch(pack, probe)
-
-
-def filter_superset_batch(pack: SignaturePack, probe: int) -> list[int]:
-    """Batch superset filter: rows ``i`` with ``probe ⊑ pack[i]``."""
-    return get_backend(pack.backend).filter_superset_batch(pack, probe)
-
-
-def popcount_batch(pack: SignaturePack) -> list[int]:
-    """Per-row :func:`popcount` of a pack, in packing order."""
-    return get_backend(pack.backend).popcount_batch(pack)
 
 
 def bits_to_sig(text: str) -> int:

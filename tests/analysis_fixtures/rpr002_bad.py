@@ -1,6 +1,6 @@
 """RPR002 fixture (bad): unpicklable callables shipped to an executor.
 
-Linted with ``module="repro.future.fixture"`` so the rule is in scope.
+Linted with ``module="repro.exec.fixture"`` so the rule is in scope.
 """
 
 

@@ -1,7 +1,7 @@
 """RPR002 fixture (bad): unpicklable callables in the executor package.
 
-Linted with ``module="repro.exec.fixture"`` so the rescoped rule applies
-to the new executor home, not just the legacy ``repro.future`` one.
+Linted with ``module="repro.exec.fixture"``, the package the rule
+watches.
 """
 
 

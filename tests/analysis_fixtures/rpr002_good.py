@@ -1,6 +1,6 @@
 """RPR002 fixture (good): module-level functions cross the boundary.
 
-Linted with ``module="repro.future.fixture"`` so the rule is in scope.
+Linted with ``module="repro.exec.fixture"`` so the rule is in scope.
 """
 
 

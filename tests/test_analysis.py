@@ -31,7 +31,7 @@ SRC = Path(__file__).parent.parent / "src"
 #: rule id -> (fixture stem, module the fixture poses as, bad-twin count).
 RULE_FIXTURES = {
     "RPR001": ("rpr001", "repro.core.fixture", 3),
-    "RPR002": ("rpr002", "repro.future.fixture", 4),
+    "RPR002": ("rpr002", "repro.exec.fixture", 4),
     "RPR003": ("rpr003", "repro.core.fixture", 5),
     "RPR004": ("rpr004", "repro.core.fixture", 4),
     "RPR005": ("rpr005", "repro.core.fixture", 1),
@@ -124,8 +124,7 @@ def test_pickle_rule_scoped_to_executor_layers():
 
 
 def test_pickle_rule_covers_exec_package():
-    # PR 6 moved the executors to repro.exec; the rule follows them (and
-    # keeps watching the repro.future shims).
+    # PR 6 moved the executors to repro.exec; the rule follows them.
     report = lint_source(
         _fixture("rpr002_exec_bad"),
         path="rpr002_exec_bad.py",

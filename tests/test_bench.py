@@ -22,7 +22,7 @@ from repro.bench.harness import (
     run_algorithm,
     sweep,
 )
-from repro.bench.memory import deep_sizeof, index_memory_bytes, memory_per_tuple
+from repro.bench.memory import deep_sizeof, memory_per_tuple
 from repro.bench.reporting import (
     fmt_bytes,
     fmt_seconds,
@@ -30,7 +30,6 @@ from repro.bench.reporting import (
     format_series,
     format_table,
 )
-from repro.core.registry import make_algorithm
 from repro.datagen.synthetic import SyntheticConfig
 from tests.conftest import oracle_pairs, random_relation
 
@@ -75,11 +74,6 @@ class TestIndexMemory:
         }
         assert per_tuple["pretti"] == max(per_tuple.values())
         assert per_tuple["pretti+"] < per_tuple["pretti"]
-
-    def test_index_memory_requires_build(self):
-        algo = make_algorithm("ptsj", bits=32)
-        # Without a build the trie is None -> zero measurable index.
-        assert index_memory_bytes(algo) == 0
 
     def test_memory_per_tuple_empty(self):
         from repro.relations.relation import Relation

@@ -220,12 +220,3 @@ class TestEndToEndPipeline:
         assert main(["bench", experiment, "--base", "32"]) == 0
         assert "ptsj" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("algorithm", ["mwtsj", "trie-trie"])
-    def test_future_algorithms_via_cli(self, tmp_path, capsys, algorithm):
-        r_path = tmp_path / "r.txt"
-        main(["generate", "--size", "30", "--cardinality", "4", "--domain",
-              "40", "--seed", "31", "-o", str(r_path)])
-        capsys.readouterr()
-        assert main(["join", str(r_path), str(r_path),
-                     "--algorithm", algorithm]) == 0
-        assert algorithm in capsys.readouterr().out

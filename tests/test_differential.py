@@ -91,7 +91,7 @@ def assert_stats_invariants(name: str, stats, pairs) -> None:
     """Cross-algorithm stats invariants the harness locks in."""
     assert stats.pairs == len(pairs)
     assert stats.build_seconds >= 0 and stats.probe_seconds >= 0
-    if name in ("ptsj", "tsj", "shj", "mwtsj"):
+    if name in ("ptsj", "tsj", "shj"):
         # Algorithm 1 verifies exactly the candidates its filter admits.
         # (candidates can be *fewer* than pairs: identical S-sets merge
         # into one candidate group, Sec. III-E1.)

@@ -9,8 +9,8 @@ Three things the PR 6 refactor promises:
   :data:`repro.exec.EXECUTOR_CLASSES` registry with no per-class
   branches, and rejects unknown executor names with
   :class:`~repro.errors.PlanError`;
-* the ``repro.future`` and ``repro.external`` package inits re-export
-  the *same* executor objects, without a :class:`DeprecationWarning`.
+* the ``repro.external`` package init re-exports the *same* executor
+  object, without a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -145,14 +145,11 @@ def test_planned_sharded_join_executes(rs_pair):
 # Package re-exports
 # ----------------------------------------------------------------------
 def test_package_inits_do_not_warn():
-    # repro.future / repro.external themselves import from repro.exec, so
-    # existing `from repro.future import ParallelJoin` code stays silent.
-    for name in ("repro.future", "repro.external"):
-        sys.modules.pop(name, None)
+    # repro.external itself imports from repro.exec, so existing
+    # `from repro.external import DiskPartitionedJoin` code stays silent.
+    sys.modules.pop("repro.external", None)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        future = importlib.import_module("repro.future")
         external = importlib.import_module("repro.external")
     assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
-    assert future.ParallelJoin is ParallelJoin
     assert external.DiskPartitionedJoin is DiskPartitionedJoin

@@ -3,17 +3,15 @@
 Covers the registry (registration, selection order, the ``REPRO_KERNEL``
 override, error paths), the ABI parity contract between the ``python``
 and ``numpy`` backends, the concrete ``transpose_signatures`` and
-``modulo_signatures`` defaults,
-pickling-by-name, the lazily built relation-wide signature pack on
-prepared indexes, and the posting-list-ordered ``refine_many``.
+``modulo_signatures`` defaults, pickling-by-name, prepared indexes
+keeping their build-time backend, and the posting-list-ordered
+``refine_many``.
 """
 
 from __future__ import annotations
 
 import pickle
 import random
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +38,6 @@ from repro.kernels.python_backend import (
     merge_intersect,
 )
 from repro.relations.relation import Relation, SetRecord
-from repro.signatures import bitmap
 from repro.signatures.hashing import ModuloScheme
 
 BACKENDS = available_backends()
@@ -168,9 +165,6 @@ def test_pack_and_filter_parity(bits):
         for probe in probes:
             assert backend.filter_subset_batch(pack, probe) == \
                 reference.filter_subset_batch(ref_pack, probe)
-            assert backend.filter_superset_batch(pack, probe) == \
-                reference.filter_superset_batch(ref_pack, probe)
-        assert backend.popcount_batch(pack) == reference.popcount_batch(ref_pack)
 
 
 def test_empty_pack():
@@ -179,8 +173,6 @@ def test_empty_pack():
         pack = backend.pack_signatures([], 64)
         assert len(pack) == 0
         assert backend.filter_subset_batch(pack, 0) == []
-        assert backend.filter_superset_batch(pack, (1 << 64) - 1) == []
-        assert backend.popcount_batch(pack) == []
 
 
 def test_filter_semantics_are_positional():
@@ -192,8 +184,6 @@ def test_filter_semantics_are_positional():
         pack = backend.pack_signatures(sigs, bits)
         # Rows whose signature is covered by probe 0b0011.
         assert backend.filter_subset_batch(pack, 0b0011) == [0, 1, 4]
-        # Rows whose signature covers probe 0b0011.
-        assert backend.filter_superset_batch(pack, 0b0011) == [1, 2, 4]
 
 
 @settings(max_examples=80, deadline=None)
@@ -261,10 +251,10 @@ def test_huge_elements_join_like_the_parent():
             assert make_algorithm("ptsj").join(r, s).pairs == [(0, 0)]
 
 
-class _FiveOpKernel(KernelBackend):
-    """A backend written against the five-operation ABI only."""
+class _AbstractOnlyKernel(KernelBackend):
+    """A backend implementing only the abstract operations of the ABI."""
 
-    name = "five-op"
+    name = "abstract-only"
 
     def __init__(self) -> None:
         self.inner = PythonKernel()
@@ -275,29 +265,23 @@ class _FiveOpKernel(KernelBackend):
     def filter_subset_batch(self, pack, probe):
         return self.inner.filter_subset_batch(pack, probe)
 
-    def filter_superset_batch(self, pack, probe):
-        return self.inner.filter_superset_batch(pack, probe)
-
-    def popcount_batch(self, pack):
-        return self.inner.popcount_batch(pack)
-
     def intersect_sorted(self, a, b):
         return self.inner.intersect_sorted(a, b)
 
 
-def test_five_operation_backend_still_runs_joins(monkeypatch):
+def test_abstract_only_backend_still_runs_joins(monkeypatch):
     # transpose_signatures and modulo_signatures are concrete on the base
-    # class, so a backend predating them constructs and runs the batched PTSJ probe unchanged.
+    # class, so a backend without them constructs and runs the batched PTSJ probe unchanged.
     monkeypatch.setattr(kernels, "_factories", dict(kernels._factories))
     monkeypatch.setattr(kernels, "_instances", dict(kernels._instances))
-    register_backend("five-op", _FiveOpKernel)
+    register_backend("abstract-only", _AbstractOnlyKernel)
     s = small_relation()
     r = small_relation(start_id=100)
     with use_backend("python"):
         expected = make_algorithm("ptsj").join(r, s)
-    with use_backend("five-op"):
+    with use_backend("abstract-only"):
         result = make_algorithm("ptsj").join(r, s)
-    assert result.stats.extras["kernel_backend"] == "five-op"
+    assert result.stats.extras["kernel_backend"] == "abstract-only"
     assert result.pairs == expected.pairs
     assert result.stats.node_visits == expected.stats.node_visits
 
@@ -329,23 +313,6 @@ def test_module_level_intersect_uses_active_backend():
 
 
 # ----------------------------------------------------------------------
-# bitmap module wrappers
-# ----------------------------------------------------------------------
-def test_bitmap_batch_wrappers_stay_backend_consistent():
-    bits = 96
-    sigs = random_signatures(20, bits, seed=5)
-    for name in BACKENDS:
-        pack = bitmap.pack_signatures(sigs, bits, backend=name)
-        assert pack.backend == name
-        probe = sigs[0]
-        expected_sub = [i for i, s in enumerate(sigs) if s & ~probe == 0]
-        expected_sup = [i for i, s in enumerate(sigs) if probe & ~s == 0]
-        assert bitmap.filter_subset_batch(pack, probe) == expected_sub
-        assert bitmap.filter_superset_batch(pack, probe) == expected_sup
-        assert bitmap.popcount_batch(pack) == [s.bit_count() for s in sigs]
-
-
-# ----------------------------------------------------------------------
 # Prepared-index integration
 # ----------------------------------------------------------------------
 def small_relation(start_id: int = 0) -> Relation:
@@ -362,104 +329,44 @@ def small_relation(start_id: int = 0) -> Relation:
     )
 
 
-@pytest.mark.parametrize("algorithm", ["ptsj", "shj", "tsj", "mwtsj"])
-def test_signature_pack_is_built_on_first_scan(algorithm):
-    s = small_relation()
-    index = make_algorithm(algorithm).prepare(s)
-    before = index.memory_objects()
-    index.probe_many(small_relation(start_id=100))
-    assert index._scan is None  # joins never pack the relation
-    index.scan_candidates(SetRecord(999, frozenset({1, 2})))
-    pack = index.signature_pack
-    assert len(pack) == len(s)
-    assert index.memory_objects() == before + [index._scan]
-    assert index.signature_pack is pack  # built once
+class _CountingKernel(PythonKernel):
+    """The python kernels, counting the probe-path calls that reach them."""
+
+    name = "counting"
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def modulo_signatures(self, sets, bits):
+        self.calls += 1
+        return super().modulo_signatures(sets, bits)
+
+    def transpose_signatures(self, signatures, bits):
+        self.calls += 1
+        return super().transpose_signatures(signatures, bits)
 
 
-def test_concurrent_first_scans_agree():
-    # More threads than cores and a tiny switch interval, so first scans
-    # race to build the pack; every thread must still see a whole pack.
-    s = small_relation()
-    index = make_algorithm("ptsj").prepare(s)
-    probe = SetRecord(999, frozenset({1, 2, 3}))
-    expected = make_algorithm("ptsj").prepare(s).scan_candidates(probe)
-    barrier = threading.Barrier(8)
-    results: list[list[int]] = []
-
-    def scan() -> None:
-        barrier.wait(timeout=10)
-        results.append(index.scan_candidates(probe))
-
-    threads = [threading.Thread(target=scan) for _ in range(8)]
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(previous)
-    assert results == [expected] * 8
-    assert len(index.signature_pack) == len(s)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_prepared_index_scan_candidates(backend):
-    s = small_relation()
-    r = small_relation(start_id=100)
-    with use_backend(backend):
-        index = make_algorithm("ptsj").prepare(s)
-    assert index.kernel.name == backend
-    assert len(index.signature_pack) == len(s)
-    for record in r:
-        candidates = set(index.scan_candidates(record))
-        # Kernel-admitted candidates are a superset of the true matches
-        # (signatures never produce false negatives) ...
-        true_matches = {
-            rec.rid for rec in s if record.elements >= rec.elements
-        }
-        assert true_matches <= candidates
-        # ... and equal what the scalar signature filter admits.
-        probe_sig = index.scheme.signature(record.elements)
-        scalar = {
-            rec.rid
-            for rec in s
-            if index.scheme.signature(rec.elements) & ~probe_sig == 0
-        }
-        assert candidates == scalar
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_prepared_index_scan_superset_candidates(backend):
-    s = small_relation()
-    r = small_relation(start_id=100)
-    with use_backend(backend):
-        index = make_algorithm("ptsj").prepare(s)
-    for record in r:
-        candidates = set(index.scan_superset_candidates(record))
-        true_matches = {
-            rec.rid for rec in s if rec.elements >= record.elements
-        }
-        assert true_matches <= candidates
-
-
-def test_prepared_index_keeps_build_backend():
-    """An index packed under one backend keeps using it even after the
+def test_prepared_index_keeps_build_backend(monkeypatch):
+    """An index built under one backend keeps probing on it even after the
     process default changes (internal consistency for resident indexes)."""
+    monkeypatch.setattr(kernels, "_factories", dict(kernels._factories))
+    monkeypatch.setattr(kernels, "_instances", dict(kernels._instances))
+    counting = _CountingKernel()
+    register_backend("counting", lambda: counting)
     s = small_relation()
+    r = small_relation(start_id=100)
     with use_backend("python"):
         index = make_algorithm("ptsj").prepare(s)
+        expected = index.probe_many(r)
+    with use_backend("counting"):
+        result = index.probe_many(r)
     assert index.kernel.name == "python"
-    assert index.signature_pack.backend == "python"
-    other = BACKENDS[0]
-    with use_backend(other):
-        record = SetRecord(999, frozenset({1, 2}))
-        assert index.scan_candidates(record) == sorted(
-            index.scan_candidates(record)
-        )
-        assert index.kernel.name == "python"
+    assert counting.calls == 0
+    assert result.pairs == expected.pairs
+    # Control: an index built on the counting backend does reach it.
+    with use_backend("counting"):
+        make_algorithm("ptsj").prepare(s).probe_many(r)
+    assert counting.calls > 0
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,8 @@ These tests pin what that design promises:
   counter equal the chunk-by-chunk reference
   ``[index.probe_many(c) for c in chunks]`` for every worker and chunk
   count.
+* the S index is prepared once, however many chunks and workers, and
+  bad ``workers``/``chunks`` values are refused up front.
 
 Faults are injected by wrapping the prepared index with the
 :mod:`repro.testing.faults` proxies, which travel into the children
@@ -32,9 +34,9 @@ import pytest
 
 from repro.core.base import JoinStats
 from repro.datagen.realworld import make_surrogate
-from repro.errors import InjectedFaultError, WorkerError
+from repro.errors import AlgorithmError, InjectedFaultError, WorkerError
 from repro.exec.merge import merge_stats
-from repro.exec.parallel import ParallelJoin, _columns
+from repro.exec.parallel import ParallelJoin, _columns, parallel_join
 from repro.relations.relation import Relation, SetRecord
 from repro.testing.faults import CrashingIndex, DyingIndex, FaultTrigger
 from tests.conftest import oracle_pairs, random_relation
@@ -187,6 +189,102 @@ def test_ids_beyond_int64_travel_home():
     executor = ParallelJoin(algorithm="ptsj", workers=2, chunks=2, start_method=START_METHOD)
     result = assert_matches_reference(executor, r, s)
     assert set(result.pairs) == oracle_pairs(r, s)
+
+
+# ----------------------------------------------------------------------
+# Configuration, build-once and chunking
+# ----------------------------------------------------------------------
+class TestParallelJoin:
+    def test_invalid_configuration(self):
+        with pytest.raises(AlgorithmError):
+            ParallelJoin(workers=0)
+        with pytest.raises(AlgorithmError):
+            ParallelJoin(chunks=0)
+
+    def test_single_worker_matches_oracle(self, small_pair):
+        r, s = small_pair
+        result = ParallelJoin(workers=1, chunks=3).join(r, s)
+        assert result.pair_set() == oracle_pairs(r, s)
+        assert result.stats.extras["chunks"] == 3
+
+    def test_multi_worker_matches_oracle(self):
+        r = random_relation(80, 6, 40, seed=605)
+        s = random_relation(80, 4, 40, seed=606)
+        result = parallel_join(r, s, workers=2)
+        assert result.pair_set() == oracle_pairs(r, s)
+
+    def test_any_inner_algorithm(self, small_pair):
+        r, s = small_pair
+        result = ParallelJoin(algorithm="pretti+", workers=1, chunks=4).join(r, s)
+        assert result.pair_set() == oracle_pairs(r, s)
+        assert result.stats.algorithm == "parallel-pretti+"
+
+    def test_empty_probe_relation(self):
+        s = Relation.from_sets([{1}])
+        result = ParallelJoin(workers=1).join(Relation([]), s)
+        assert len(result) == 0
+
+
+class TestParallelBuildOnce:
+    """The S-index is prepared exactly once, however many chunks/workers."""
+
+    def test_index_prepared_once_across_chunks(self, small_pair, monkeypatch):
+        from repro.core.ptsj import PTSJ
+
+        calls = {"n": 0}
+        original = PTSJ._prepare
+
+        def counting(self, s, probe_hint=None):
+            calls["n"] += 1
+            return original(self, s, probe_hint)
+
+        monkeypatch.setattr(PTSJ, "_prepare", counting)
+        r, s = small_pair
+        result = ParallelJoin(algorithm="ptsj", workers=1, chunks=4).join(r, s)
+        assert calls["n"] == 1
+        assert result.stats.extras["index_builds"] == 1
+        assert result.pair_set() == oracle_pairs(r, s)
+
+    def test_multi_worker_reports_single_build(self):
+        r = random_relation(40, 6, 40, seed=607)
+        s = random_relation(40, 4, 40, seed=608)
+        result = ParallelJoin(algorithm="ptsj", workers=2, start_method=START_METHOD).join(r, s)
+        assert result.stats.extras["index_builds"] == 1
+        assert result.pair_set() == oracle_pairs(r, s)
+
+    def test_build_time_not_multiplied_by_chunks(self, small_pair):
+        """Aggregated build time equals the one prepare, not a per-chunk sum."""
+        r, s = small_pair
+        join = ParallelJoin(algorithm="ptsj", workers=1, chunks=4)
+        index = join.prepare(s, probe_hint=r)
+        assert index.build_seconds > 0.0
+        result = join.join(r, s)
+        # probe_many never reports build time, so the only build in the
+        # aggregate is the parent's single prepare.
+        assert result.stats.build_seconds > 0.0
+        assert result.stats.extras["chunks"] == 4
+
+    def test_prepare_returns_shareable_index(self, small_pair):
+        r, s = small_pair
+        index = ParallelJoin(algorithm="pretti+", workers=1).prepare(s)
+        assert index.probe_many(r).pair_set() == oracle_pairs(r, s)
+
+
+class TestParallelChunking:
+    def test_more_chunks_than_tuples(self):
+        r = Relation.from_sets([{1}, {2}])
+        s = Relation.from_sets([{1}])
+        result = ParallelJoin(workers=1, chunks=10).join(r, s)
+        assert result.pair_set() == {(0, 0)}
+
+    def test_stats_aggregated_across_chunks(self, small_pair):
+        r, s = small_pair
+        solo = ParallelJoin(workers=1, chunks=1).join(r, s)
+        quad = ParallelJoin(workers=1, chunks=4).join(r, s)
+        assert quad.stats.extras["chunks"] == 4
+        # Chunked probes verify at most as many candidates in total per
+        # chunk boundary effects, but output identically.
+        assert quad.pair_set() == solo.pair_set()
 
 
 # ----------------------------------------------------------------------

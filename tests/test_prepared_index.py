@@ -25,7 +25,7 @@ from tests.conftest import oracle_pairs, random_relation
 ALL_NAMES = tuple(ALGORITHMS)
 
 #: Algorithms whose constructor accepts an explicit signature length.
-SIGNATURE_NAMES = ("ptsj", "shj", "tsj", "mwtsj", "trie-trie")
+SIGNATURE_NAMES = ("ptsj", "shj", "tsj")
 
 COUNTERS = ("candidates", "verifications", "node_visits", "intersections")
 

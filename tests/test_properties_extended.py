@@ -1,6 +1,6 @@
 """Property-based tests for the later-added components.
 
-Covers the PSJ pick partitioning, the multi-way trie, the Jaccard join,
+Covers the PSJ pick partitioning, the Jaccard join,
 the densify/relabel transforms and the dynamic Patricia index — each
 against an independent formulation of its contract.
 """
@@ -15,16 +15,11 @@ from repro.core.ptsj import PTSJ
 from repro.extensions.set_index import PatriciaSetIndex
 from repro.extensions.similarity import jaccard_join
 from repro.external.psj import PickPartitionedSetJoin
-from repro.future.multiway import MultiwayTrie
 from repro.relations.relation import Relation
 from repro.relations.transforms import apply_universe, densify, relabel_by_frequency
-from repro.tries.patricia import PatriciaTrie
 
 element_sets = st.frozensets(st.integers(min_value=0, max_value=50), max_size=10)
 set_lists = st.lists(element_sets, min_size=0, max_size=16)
-
-BITS = 20
-signatures = st.integers(min_value=0, max_value=(1 << BITS) - 1)
 
 
 class TestPsjProperties:
@@ -36,19 +31,6 @@ class TestPsjProperties:
         got = PickPartitionedSetJoin(partitions=partitions, pick=pick,
                                      algorithm="ptsj").join(r, s).pair_set()
         assert got == set(nested_loop_join_pairs(r, s))
-
-
-class TestMultiwayProperties:
-    @given(sigs=st.lists(signatures, max_size=30), query=signatures)
-    def test_multiway_equals_patricia_subsets(self, sigs, query):
-        multiway = MultiwayTrie(BITS)
-        patricia = PatriciaTrie(BITS)
-        for sig in sigs:
-            multiway.insert(sig)
-            patricia.insert(sig)
-        mw = {leaf.signature for leaf in multiway.subset_leaves(query)}
-        pt = {leaf.signature for leaf in patricia.subset_leaves(query)}
-        assert mw == pt
 
 
 class TestJaccardProperties:
