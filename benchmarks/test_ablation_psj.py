@@ -6,12 +6,14 @@ data that exceeds memory:
 * the monolithic in-memory PTSJ (baseline);
 * the paper's Sec. III-E4 quadratic nested loop over disk partitions;
 * the PSJ/APSJ-family pick partitioning ([11], [12]) where every
-  S-partition is joined exactly once against a replicated R-partition.
+  S-partition is joined exactly once against a replicated R-partition —
+  the sharded executor's element placement, run in-process
+  (``ShardedJoin(workers=1, shards=8)``).
 
 Expected shape: pick partitioning loads each partition pair once, so it
 beats the quadratic nested loop as the partition count grows, at the cost
-of R replication (reported in the stats); both return exactly the
-baseline's output.
+of R replication (``routed_probes / |R|`` in the stats); both return
+exactly the baseline's output.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from benchmarks.figrecorder import RESULTS, run_and_record
 from repro.core.registry import make_algorithm
 from repro.datagen.synthetic import SyntheticConfig, generate_pair
 from repro.exec.disk import DiskPartitionedJoin
-from repro.external.psj import PickPartitionedSetJoin
+from repro.exec.sharded import ShardedJoin
 
 FIGURE = "ablation: out-of-core strategies (in-memory vs Sec. III-E4 nested loop vs PSJ pick partitioning)"
 
@@ -57,7 +59,7 @@ def test_psj_pick_partitioning(benchmark, inner):
     label = f"psj-{inner} (8 parts)"
 
     def run():
-        result = PickPartitionedSetJoin(partitions=PARTITIONS, algorithm=inner).join(R, S)
+        result = ShardedJoin(algorithm=inner, workers=1, shards=PARTITIONS).join(R, S)
         RUNS[label] = result
         return result
 
@@ -73,5 +75,5 @@ def test_psj_shape(benchmark):
     # One pass per S-partition beats the quadratic partition-pair loop.
     assert point["psj-ptsj (8 parts)"] < point["nested-loop 8x8"]
     # Replication factor is bounded by the partition count and > 1.
-    factor = RUNS["psj-ptsj (8 parts)"].stats.extras["replication_factor"]
+    factor = RUNS["psj-ptsj (8 parts)"].stats.extras["routed_probes"] / len(R)
     assert 1.0 < factor <= PARTITIONS

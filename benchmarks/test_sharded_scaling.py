@@ -1,4 +1,4 @@
-"""Sharded-executor scaling smoke: shard counts, strategies, and regret.
+"""Sharded-executor scaling smoke: shard counts and regret.
 
 Two questions, one file:
 
@@ -57,16 +57,15 @@ def expected_pairs(rs_pair):
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-@pytest.mark.parametrize("strategy", ("element", "signature"))
-def test_shard_count_scaling(rs_pair, expected_pairs, shards, strategy):
+def test_shard_count_scaling(rs_pair, expected_pairs, shards):
     r, s = rs_pair
-    join = ShardedJoin(algorithm="pretti+", workers=2, shards=shards, strategy=strategy)
+    join = ShardedJoin(algorithm="pretti+", workers=2, shards=shards)
     start = perf_counter()
     result = join.join(r, s)
     elapsed = perf_counter() - start
     assert sorted(result.pairs) == expected_pairs
     assert result.stats.extras["fallback_shards"] == 0
-    record(FIGURE, f"{shards} shard(s)", f"sharded/{strategy}", elapsed, unit="seconds")
+    record(FIGURE, f"{shards} shard(s)", "sharded/element", elapsed, unit="seconds")
 
 
 def test_sharded_plan_regret_within_bound(rs_pair):

@@ -4,7 +4,7 @@ The registry guarantees bit-for-bit JoinStats parity between ``join()``
 and ``prepare()+probe_many()`` for every registry algorithm, and the
 differential harness asserts it.  That only holds if algorithms mutate the documented
 counters — inventing an ad-hoc field on a stats object bypasses
-``merge_chunk_stats``, the metrics snapshot and the golden files at once.
+``merge_stats``, the metrics snapshot and the golden files at once.
 Free-form data belongs in ``stats.extras[...]`` (a subscript write, which
 this rule deliberately allows).
 """
@@ -69,7 +69,7 @@ RULES = (
         title="write to an undocumented JoinStats counter",
         rationale="bit-for-bit counter parity across join() and "
         "prepare()+probe_many() only holds for the documented JoinStats "
-        "fields; ad-hoc attributes bypass merge_chunk_stats, the metrics "
+        "fields; ad-hoc attributes bypass merge_stats, the metrics "
         "snapshot and the golden files.",
         fixit="use one of the documented counters (pairs, candidates, "
         "verifications, node_visits, intersections, index_nodes, ...) or "

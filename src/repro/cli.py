@@ -25,7 +25,7 @@ Examples::
     repro-scj join r.txt s.txt --algorithm ptsj
     repro-scj join r.txt s.txt --algorithm shj --backend numpy
     repro-scj explain r.txt s.txt
-    repro-scj join r.txt s.txt --plan auto --workers 4 --explain
+    repro-scj join r.txt s.txt --workers 4 --explain
     repro-scj probe s.txt queries1.txt queries2.txt --algorithm ptsj
     repro-scj backends
     repro-scj bench fig6c
@@ -42,7 +42,6 @@ from repro.core.registry import (
     execute_plan,
     plan as plan_join,
     prepare_index,
-    set_containment_join,
 )
 from repro.planner import Workload
 from repro.datagen.realworld import SURROGATE_SPECS, make_surrogate
@@ -186,37 +185,25 @@ def build_parser() -> argparse.ArgumentParser:
                       help=f"auto or one of: {', '.join(available_algorithms())}")
     join.add_argument("--bits", type=int, default=None,
                       help="signature length override (signature algorithms)")
-    join.add_argument("--strategy", default="memory",
-                      choices=("memory", "disk", "psj", "parallel"),
-                      help="execution strategy: in-memory (default), the "
-                           "Sec. III-E4 disk-partitioned nested loop, the "
-                           "PSJ-style pick partitioning, or multi-process")
     join.add_argument("--executor", default=None,
                       choices=("inline", "parallel", "resilient", "disk", "sharded"),
                       help="run a specific repro.exec executor directly "
-                           "(overrides --strategy; uses --workers/--shards/"
-                           "--retries/--timeout-seconds; see "
-                           "docs/EXECUTORS.md)")
-    join.add_argument("--partitions", type=int, default=8,
-                      help="partition count (disk: tuples per partition "
-                           "= |S| / partitions; psj/parallel: partitions)")
+                           "instead of the one the planner picks from the "
+                           "workload flags below (uses --workers/--shards/"
+                           "--memory-budget/--retries/--timeout-seconds; "
+                           "see docs/EXECUTORS.md)")
     join.add_argument("--retries", type=int, default=0,
-                      help="parallel strategy only: retry each failed probe "
-                           "chunk up to N times (enables the fault-tolerant "
-                           "executor; see docs/ROBUSTNESS.md)")
+                      help="with --executor resilient or sharded: retry "
+                           "each failed probe chunk or shard up to N times "
+                           "(see docs/ROBUSTNESS.md)")
     join.add_argument("--timeout-seconds", type=float, default=None,
-                      help="parallel strategy only: per-chunk wall-clock "
-                           "budget; over-budget chunks finish in-process "
-                           "(enables the fault-tolerant executor). Bounds "
-                           "one chunk, not the join — for a whole-join "
-                           "bound use --deadline-seconds")
+                      help="with --executor resilient or sharded: per-chunk "
+                           "wall-clock budget; over-budget chunks finish "
+                           "in-process. Bounds one chunk, not the join — "
+                           "for a whole-join bound use --deadline-seconds")
     join.add_argument("--no-fallback", action="store_true",
-                      help="parallel strategy only: raise instead of probing "
-                           "exhausted chunks in-process")
-    join.add_argument("--plan", choices=("auto",), default=None,
-                      help="plan the whole execution (algorithm, executor, "
-                           "chunking) with the cost-based planner from the "
-                           "workload flags below; overrides --strategy")
+                      help="with --executor resilient or sharded: raise "
+                           "instead of probing exhausted chunks in-process")
     join.add_argument("--explain", action="store_true",
                       help="print the planner's decision tree before running")
     add_workload(join)
@@ -484,17 +471,15 @@ def _cmd_join(args: argparse.Namespace) -> int:
 
     start = perf_counter()
     with use(tracer), govern(policy):
-        if args.plan or args.explain:
+        if args.explain or not args.executor:
             query_plan = plan_join(r, s, algorithm=algorithm,
                                    workload=_workload_from_args(args), **kwargs)
             if args.explain:
                 print(query_plan.explain())
                 print()
             result = execute_plan(query_plan, r, s)
-        elif args.executor:
-            result = _run_executor(args, r, s, algorithm, kwargs)
         else:
-            result = _run_join_strategy(args, r, s, algorithm, kwargs)
+            result = _run_executor(args, r, s, algorithm, kwargs)
     elapsed = perf_counter() - start
     st = result.stats
     if tracer.registry is not None:
@@ -515,8 +500,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
         print("degraded: " + ", ".join(f"{k}={v}" for k, v in degradation.items()),
               file=sys.stderr)
     _report_observability(args, tracer,
-                          meta={"algorithm": st.algorithm, "r": args.r, "s": args.s,
-                                "strategy": args.strategy})
+                          meta={"algorithm": st.algorithm, "r": args.r, "s": args.s})
     if args.output:
         write_join_result(result.pairs, args.output)
         print(f"pairs written to {args.output}")
@@ -543,52 +527,6 @@ def _run_executor(args: argparse.Namespace, r, s, algorithm: str, kwargs: dict):
         options["max_tuples"] = args.memory_budget
     executor = executor_class(args.executor)(algorithm=algorithm, **options, **kwargs)
     return executor.join(r, s)
-
-
-def _run_join_strategy(args: argparse.Namespace, r, s, algorithm: str, kwargs: dict):
-    """Dispatch one join per ``--strategy`` (runs under the active tracer)."""
-    if args.strategy == "memory":
-        result = set_containment_join(r, s, algorithm=algorithm, **kwargs)
-    else:
-        from repro.core.registry import choose_algorithm_name
-
-        if algorithm.strip().lower() == "auto":
-            algorithm = choose_algorithm_name(s)
-        if args.strategy == "disk":
-            from repro.exec.disk import disk_partitioned_join
-
-            per_part = max(1, len(s) // max(args.partitions, 1))
-            result = disk_partitioned_join(r, s, algorithm=algorithm,
-                                           max_tuples=per_part, **kwargs)
-        elif args.strategy == "psj":
-            from repro.external.psj import psj_join
-
-            result = psj_join(r, s, partitions=args.partitions,
-                              algorithm=algorithm, **kwargs)
-        else:
-            resilient = (args.retries > 0 or args.timeout_seconds is not None
-                         or args.no_fallback)
-            if resilient:
-                from repro.exec.resilient import (
-                    ResilientParallelJoin,
-                    RetryPolicy,
-                )
-
-                executor = ResilientParallelJoin(
-                    algorithm=algorithm,
-                    workers=args.partitions,
-                    retry_policy=RetryPolicy(max_attempts=max(1, args.retries + 1)),
-                    timeout_seconds=args.timeout_seconds,
-                    fallback=not args.no_fallback,
-                    **kwargs,
-                )
-                result = executor.join(r, s)
-            else:
-                from repro.exec.parallel import parallel_join
-
-                result = parallel_join(r, s, algorithm=algorithm,
-                                       workers=args.partitions, **kwargs)
-    return result
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:

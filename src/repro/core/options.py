@@ -24,11 +24,9 @@ import multiprocessing
 from repro.errors import AlgorithmError, ExternalMemoryError
 
 __all__ = [
-    "SHARD_STRATEGIES",
     "validate_workers",
     "validate_chunks",
     "validate_shards",
-    "validate_shard_strategy",
     "validate_start_method",
     "validate_timeout_seconds",
     "validate_deadline_seconds",
@@ -36,10 +34,6 @@ __all__ = [
     "validate_max_tuples",
     "validate_probe_batches",
 ]
-
-#: Partition strategies the sharded executor understands.
-SHARD_STRATEGIES = ("element", "signature")
-
 
 def _require_positive(name: str, value: float, error: type[ValueError]) -> None:
     if value <= 0:
@@ -64,15 +58,6 @@ def validate_shards(shards: int | None) -> int | None:
     if shards is not None:
         _require_positive("shards", shards, AlgorithmError)
     return shards
-
-
-def validate_shard_strategy(strategy: str) -> str:
-    """Shard partition strategy: one of :data:`SHARD_STRATEGIES`."""
-    if strategy not in SHARD_STRATEGIES:
-        raise AlgorithmError(
-            f"unknown shard strategy {strategy!r}; available: {SHARD_STRATEGIES}"
-        )
-    return strategy
 
 
 def validate_start_method(start_method: str | None) -> str | None:

@@ -26,7 +26,7 @@ from repro.exec.merge import merge_stats
 from repro.exec.protocol import BaseExecutor
 from repro.governance.policy import governor
 from repro.obs.tracer import current_tracer
-from repro.external.partition import SpilledRelation
+from repro.exec.partition import SpilledRelation
 from repro.obs.clock import perf_counter
 from repro.relations.relation import Relation
 

@@ -3,10 +3,10 @@
 Every partitioned executor decomposes a join into independent pieces —
 probe chunks (parallel/resilient), partition pairs (disk), S-shards
 (sharded) — and each piece comes home with its own stats.  Historically
-the fold lived twice: ``merge_chunk_stats`` in the parallel executor and
-``_accumulate`` in the disk join, with subtly different field coverage.
-This module is now the single definition, used by all four partitioned
-paths and property-tested for the algebra the decomposition relies on:
+the fold lived twice, in the parallel executor and in the disk join, with
+subtly different field coverage.  :func:`merge_stats` is now the single
+definition, used by all four partitioned paths and property-tested for
+the algebra the decomposition relies on:
 
 * the **additive** fields (``build_seconds``, ``probe_seconds``,
   ``candidates``, ``verifications``, ``node_visits``,

@@ -41,18 +41,12 @@ from repro.core.options import validate_chunks, validate_start_method, validate_
 from repro.errors import WorkerError
 from repro.exec.merge import merge_stats
 from repro.exec.protocol import BaseExecutor
-from repro.external.partition import partition_relation
+from repro.exec.partition import partition_relation
 from repro.governance.policy import GovernancePolicy, current_policy, governor, set_policy
 from repro.obs.tracer import NullTracer, current_tracer, set_tracer
 from repro.relations.relation import Relation
 
-__all__ = ["ParallelJoin", "parallel_join", "record_chunk_span", "merge_chunk_stats"]
-
-#: Backwards-compatible alias: chunk merging is now the shared
-#: :func:`repro.exec.merge.merge_stats` fold (identical numbers on the
-#: chunk path — chunks report zero build time and the shared index's own
-#: signature bits, so the unified fold's extra fields are no-ops here).
-merge_chunk_stats = merge_stats
+__all__ = ["ParallelJoin", "parallel_join", "record_chunk_span"]
 
 
 def _columns(pairs: list[tuple[int, int]]) -> tuple[Sequence[int], Sequence[int]]:

@@ -10,19 +10,16 @@ that could possibly contain its subsets.  Partitioning the indexed side
 follows the distribution strategies surveyed in "Set Containment Join
 Revisited" (Bouros et al.).
 
-Two partition strategies:
-
-* ``"element"`` — shard ``s`` by ``min(s.elements) % shards``.  Routing
-  exploits containment: ``s ⊆ r`` implies ``min(s) ∈ r``, so probing the
-  shards ``{e % shards for e in r.elements}`` reaches every subset of
-  ``r``.  Probes fan out only as far as their distinct element residues —
-  the *small side* (the probe record) is replicated, never the index.
-  Empty sets are a special case: ``∅ ⊆ r`` for every ``r``, so empty
-  ``s`` live in shard 0 and every probe also routes there while ``S``
-  contains an empty set.
-* ``"signature"`` — shard ``s`` by a stable hash of its elements
-  (uniform placement, immune to element skew) at the price of
-  *broadcasting* every probe to all shards.
+Placement is by element: ``s`` lives in shard ``min(s.elements) %
+shards``.  Routing exploits containment: ``s ⊆ r`` implies ``min(s) ∈
+r``, so probing the shards ``{e % shards for e in r.elements}`` reaches
+every subset of ``r``.  Probes fan out only as far as their distinct
+element residues — the *small side* (the probe record) is replicated,
+never the index.  Empty sets are a special case: ``∅ ⊆ r`` for every
+``r``, so empty ``s`` live in shard 0 and every probe also routes there
+while ``S`` contains an empty set.  This is the pick partitioning of the
+PSJ/APSJ family the paper's Sec. III-E4 points to; ``workers=1`` runs it
+in-process.
 
 Each shard is one worker task carrying everything it needs (algorithm
 name, its S-partition, its routed probes), so shards survive pool
@@ -53,7 +50,6 @@ from typing import Any, Callable, ClassVar
 
 from repro.core.base import JoinResult, JoinStats, PreparedIndex
 from repro.core.options import (
-    validate_shard_strategy,
     validate_shards,
     validate_start_method,
     validate_timeout_seconds,
@@ -89,52 +85,23 @@ ShardPayload = tuple[
     GovernancePolicy | None,
 ]
 
-#: Multiplier for the stable signature hash (same prime CPython's tuple
-#: hash historically used; any odd multiplier works).
-_HASH_MULTIPLIER = 1000003
-_HASH_MASK = (1 << 61) - 1
-
-
-def stable_signature_hash(elements: frozenset[int]) -> int:
-    """Order-independent, process-independent hash of an element set.
-
-    Python's ``hash(frozenset)`` is stable for ints today, but that is an
-    implementation detail; shard placement must never depend on one.
-    Folding the *sorted* elements keeps the value identical in every
-    interpreter and start method.
-    """
-    h = len(elements) & _HASH_MASK
-    for e in sorted(elements):
-        h = (h * _HASH_MULTIPLIER + e + 1) & _HASH_MASK
-    return h
-
-
-def shard_of(record: SetRecord, shards: int, strategy: str) -> int:
+def shard_of(record: SetRecord, shards: int) -> int:
     """The single shard a ``S``-record lives in (pure, deterministic)."""
-    if shards == 1:
-        return 0
-    if strategy == "signature":
-        return stable_signature_hash(record.elements) % shards
-    if not record.elements:
+    if shards == 1 or not record.elements:
         return 0
     return min(record.elements) % shards
 
 
-def route_probe(
-    record: SetRecord, shards: int, strategy: str, s_has_empty: bool
-) -> list[int]:
+def route_probe(record: SetRecord, shards: int, s_has_empty: bool) -> list[int]:
     """Every shard a probe record must visit, ascending (pure, deterministic).
 
-    Element routing is complete because ``s ⊆ r ∧ s ≠ ∅`` implies
-    ``min(s) ∈ r``, hence ``min(s) % shards`` is among ``r``'s element
-    residues; empty ``s`` (⊆ everything) live in shard 0, which is added
-    whenever ``S`` contains one.  Signature placement has no such
-    locality, so signature probes broadcast.
+    Routing is complete because ``s ⊆ r ∧ s ≠ ∅`` implies ``min(s) ∈ r``,
+    hence ``min(s) % shards`` is among ``r``'s element residues; empty
+    ``s`` (⊆ everything) live in shard 0, which is added whenever ``S``
+    contains one.
     """
     if shards == 1:
         return [0]
-    if strategy == "signature":
-        return list(range(shards))
     targets = {e % shards for e in record.elements}
     if s_has_empty or not record.elements:
         targets.add(0)
@@ -213,8 +180,6 @@ class ShardedJoin(BaseExecutor):
             ``timeout_seconds`` does not — in-process probes cannot be
             pre-empted).
         shards: Number of S-partitions; defaults to ``workers``.
-        strategy: ``"element"`` (routed probes, default) or
-            ``"signature"`` (uniform placement, broadcast probes).
         start_method: Multiprocessing start method for the pool.
         retry_policy: Retry schedule per shard (default: 3 attempts, no
             backoff) — the same ladder the resilient executor uses for
@@ -248,7 +213,6 @@ class ShardedJoin(BaseExecutor):
         algorithm: str = "ptsj",
         workers: int = 2,
         shards: int | None = None,
-        strategy: str = "element",
         start_method: str | None = None,
         retry_policy: RetryPolicy | None = None,
         timeout_seconds: float | None = None,
@@ -259,13 +223,11 @@ class ShardedJoin(BaseExecutor):
     ) -> None:
         validate_workers(workers)
         validate_shards(shards)
-        validate_shard_strategy(strategy)
         validate_start_method(start_method)
         validate_timeout_seconds(timeout_seconds)
         super().__init__(algorithm=algorithm, **algorithm_kwargs)
         self.workers = workers
         self.shards = shards or workers
-        self.strategy = strategy
         self.start_method = start_method
         self.retry_policy = retry_policy or RetryPolicy()
         self.timeout_seconds = timeout_seconds
@@ -277,7 +239,6 @@ class ShardedJoin(BaseExecutor):
         return {
             "workers": self.workers,
             "shards": self.shards,
-            "strategy": self.strategy,
             "start_method": self.start_method,
             "max_attempts": self.retry_policy.max_attempts,
             "timeout_seconds": self.timeout_seconds,
@@ -295,7 +256,7 @@ class ShardedJoin(BaseExecutor):
         for rec in s:
             if gov is not None:
                 gov.tick()
-            parts[shard_of(rec, self.shards, self.strategy)].append(rec)
+            parts[shard_of(rec, self.shards)].append(rec)
         return parts
 
     def _route_r(self, r: Relation, s_has_empty: bool) -> list[list[SetRecord]]:
@@ -305,7 +266,7 @@ class ShardedJoin(BaseExecutor):
         for rec in r:
             if gov is not None:
                 gov.tick()
-            for shard_id in route_probe(rec, self.shards, self.strategy, s_has_empty):
+            for shard_id in route_probe(rec, self.shards, s_has_empty):
                 routed[shard_id].append(rec)
         return routed
 

@@ -256,7 +256,7 @@ class Plan:
         executor: One of :data:`EXECUTORS`.
         executor_options: Keyword arguments for the executor class
             (``workers``/``chunks`` for the parallel executors,
-            ``workers``/``shards``/``strategy`` for sharded,
+            ``workers``/``shards`` for sharded,
             ``max_tuples`` for disk; empty for inline).
         workload: The hints the plan was made for.
         decisions: Every decision with its costs and rejected alternatives.

@@ -691,15 +691,8 @@ class Planner:
                     detail=(("shards", shards),
                             ("tuples_per_shard", per_shard),
                             ("expected_probe_fanout", round(fanout, 3))),
-                    rejected=(
-                        Alternative(
-                            "signature partitioning",
-                            "uniform hash placement is skew-immune but must "
-                            "broadcast every probe to all shards",
-                        ),
-                    ),
                 ),
-                {"shards": shards, "strategy": "element"},
+                {"shards": shards},
             )
         if executor == "disk":
             budget = workload.memory_budget_tuples or max(r.size + s.size, 1)

@@ -136,9 +136,6 @@ class CostProfile:
 
     Attributes:
         name: Registry name.
-        family: ``signature`` (filter-and-verify), ``inverted``
-            (intersection-based, verification-free) or ``oracle``
-            (exhaustive).
         auto_eligible: Whether the planner may choose it automatically.
             Only the paper's two production algorithms are; everything
             else is still *estimated* (so it shows up, costed, among the
@@ -149,7 +146,6 @@ class CostProfile:
     """
 
     name: str
-    family: str
     auto_eligible: bool
     reject_reason: str
     uses_signature: bool
@@ -166,7 +162,6 @@ class CostProfile:
         bits: int,
         shards: int,
         workers: int,
-        strategy: str = "element",
     ) -> CostEstimate:
         """Cost this algorithm run by the sharded executor.
 
@@ -176,16 +171,13 @@ class CostProfile:
         * **fanout** — how many shards each probe record visits.  Element
           routing sends a probe with ``c_r`` elements to its distinct
           residues: expected ``n·(1 − (1 − 1/n)^c_r)`` of ``n`` shards
-          (coupon-collector form).  Signature placement broadcasts, so
-          fanout is ``n``.
+          (coupon-collector form).
         * **probe scaling** — each visited shard holds ~``1/n`` of the
           index, so total probe work scales by ``fanout / n``: element
-          routing *skips* index fractions no subset can live in, while a
-          broadcast does the full work once per shard.
+          routing *skips* index fractions no subset can live in.
         * **skew penalty** — element placement keys on ``min(s)``, so a
           skewed element distribution piles sets onto few shards; the
           indexed side's cardinality skew is the proxy, capped at 2x.
-          Signature placement hashes uniformly and takes no penalty.
         * **parallelism** — builds and probes proceed concurrently on
           ``min(workers, shards)`` processes.
 
@@ -196,13 +188,9 @@ class CostProfile:
         shards = max(shards, 1)
         parallelism = max(min(workers, shards), 1)
         c_r = max(r.avg_cardinality, 1.0)
-        if strategy == "signature":
-            fanout = float(shards)
-            skew_penalty = 1.0
-        else:
-            fanout = shards * (1.0 - (1.0 - 1.0 / shards) ** c_r) if shards > 1 else 1.0
-            skew = s.cardinality_skew
-            skew_penalty = 2.0 if skew == float("inf") else min(2.0, max(1.0, skew))
+        fanout = shards * (1.0 - (1.0 - 1.0 / shards) ** c_r) if shards > 1 else 1.0
+        skew = s.cardinality_skew
+        skew_penalty = 2.0 if skew == float("inf") else min(2.0, max(1.0, skew))
         return CostEstimate(
             build=_clamp(base.build / parallelism),
             probe=_clamp(base.probe * (fanout / shards) * skew_penalty / parallelism),
@@ -212,28 +200,28 @@ class CostProfile:
 #: One profile per registry algorithm (kept in sync by tests).
 COST_PROFILES: dict[str, CostProfile] = {
     "ptsj": CostProfile(
-        "ptsj", "signature", True, "", True, _ptsj,
+        "ptsj", True, "", True, _ptsj,
     ),
     "pretti+": CostProfile(
-        "pretti+", "inverted", True, "", False, _pretti_plus,
+        "pretti+", True, "", False, _pretti_plus,
     ),
     "pretti": CostProfile(
-        "pretti", "inverted", False,
+        "pretti", False,
         "superseded by pretti+ (Patricia trie halves its memory, Sec. IV)",
         False, _pretti,
     ),
     "shj": CostProfile(
-        "shj", "signature", False,
+        "shj", False,
         "exponential subset enumeration caps its signature length (Sec. II)",
         True, _shj,
     ),
     "tsj": CostProfile(
-        "tsj", "signature", False,
+        "tsj", False,
         "uncompressed trie: dominated by ptsj at every b (Sec. III-B)",
         True, _tsj,
     ),
     "nested-loop": CostProfile(
-        "nested-loop", "oracle", False,
+        "nested-loop", False,
         "exhaustive oracle, kept for verification only",
         False, _nested_loop,
     ),

@@ -160,8 +160,12 @@ class TestBench:
         assert main(["bench", "fig8", "--base", "12"]) == 0
         assert "webbase" in capsys.readouterr().out
 
+    def test_bench_fig7(self, capsys):
+        assert main(["bench", "fig7c", "--base", "24"]) == 0
+        assert "zipf" in capsys.readouterr().out
 
-class TestJoinStrategies:
+
+class TestJoinExecutors:
     @pytest.fixture
     def files(self, tmp_path):
         r = tmp_path / "r.txt"
@@ -172,27 +176,30 @@ class TestJoinStrategies:
               "48", "--seed", "6", "-o", str(s)])
         return r, s
 
-    @pytest.mark.parametrize("strategy", ["disk", "psj", "parallel"])
-    def test_strategies_match_memory(self, files, tmp_path, strategy):
+    @pytest.mark.parametrize(
+        "executor", ["inline", "parallel", "resilient", "disk", "sharded"])
+    def test_executor_output_matches_default_join(self, files, tmp_path, executor):
         r, s = files
-        memory_out = tmp_path / "mem.txt"
-        other_out = tmp_path / f"{strategy}.txt"
-        assert main(["join", str(r), str(s), "--algorithm", "ptsj",
-                     "-o", str(memory_out)]) == 0
-        assert main(["join", str(r), str(s), "--algorithm", "ptsj",
-                     "--strategy", strategy, "--partitions", "3",
-                     "-o", str(other_out)]) == 0
-        assert memory_out.read_text() == other_out.read_text()
+        default_out = tmp_path / "default.txt"
+        executor_out = tmp_path / f"{executor}.txt"
+        assert main(["join", str(r), str(s), "-o", str(default_out)]) == 0
+        assert main(["join", str(r), str(s), "--executor", executor,
+                     "--workers", "2", "--shards", "3", "--memory-budget", "10",
+                     "--retries", "1", "-o", str(executor_out)]) == 0
+        assert executor_out.read_bytes() == default_out.read_bytes()
 
-    def test_strategy_with_auto_algorithm(self, files, capsys):
+    def test_workers_without_executor_runs_the_planned_parallel_join(self, files, capsys):
         r, s = files
         capsys.readouterr()
-        assert main(["join", str(r), str(s), "--strategy", "psj"]) == 0
-        assert "psj-" in capsys.readouterr().out
+        assert main(["join", str(r), str(s), "--algorithm", "ptsj",
+                     "--workers", "2"]) == 0
+        assert "parallel-ptsj" in capsys.readouterr().out
 
-    def test_bench_fig7(self, capsys):
-        assert main(["bench", "fig7c", "--base", "24"]) == 0
-        assert "zipf" in capsys.readouterr().out
+    def test_explain_prints_the_executor_decision(self, files, capsys):
+        r, s = files
+        capsys.readouterr()
+        assert main(["join", str(r), str(s), "--workers", "2", "--explain"]) == 0
+        assert "executor = parallel" in capsys.readouterr().out
 
 
 class TestEndToEndPipeline:

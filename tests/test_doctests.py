@@ -19,7 +19,6 @@ import repro.extensions.equality
 import repro.extensions.similarity
 import repro.extensions.superset
 import repro.exec.disk
-import repro.external.psj
 import repro.baselines.pretti
 import repro.baselines.shj
 import repro.index.inverted
@@ -43,7 +42,6 @@ MODULES = [
     repro.extensions.equality,
     repro.extensions.similarity,
     repro.exec.disk,
-    repro.external.psj,
     repro.datagen.synthetic,
     repro.bench.reporting,
 ]

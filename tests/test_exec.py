@@ -9,14 +9,13 @@ Three things the PR 6 refactor promises:
   :data:`repro.exec.EXECUTOR_CLASSES` registry with no per-class
   branches, and rejects unknown executor names with
   :class:`~repro.errors.PlanError`;
-* the ``repro.external`` package init re-exports the *same* executor
-  object, without a :class:`DeprecationWarning`.
+* the ``repro.exec`` package init re-exports the *same* executor
+  objects, without a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
 import importlib
-import sys
 import warnings
 
 import pytest
@@ -123,12 +122,12 @@ def test_from_plan_round_trips_options():
     plan = Plan(
         algorithm="pretti+",
         executor="sharded",
-        executor_options={"workers": 3, "shards": 5, "strategy": "signature"},
+        executor_options={"workers": 3, "shards": 5, "start_method": "spawn"},
     )
     executor = executor_class(plan.executor).from_plan(plan)
     assert isinstance(executor, ShardedJoin)
-    assert (executor.algorithm, executor.workers, executor.shards, executor.strategy) == (
-        "pretti+", 3, 5, "signature",
+    assert (executor.algorithm, executor.workers, executor.shards, executor.start_method) == (
+        "pretti+", 3, 5, "spawn",
     )
 
 
@@ -145,11 +144,10 @@ def test_planned_sharded_join_executes(rs_pair):
 # Package re-exports
 # ----------------------------------------------------------------------
 def test_package_inits_do_not_warn():
-    # repro.external itself imports from repro.exec, so existing
-    # `from repro.external import DiskPartitionedJoin` code stays silent.
-    sys.modules.pop("repro.external", None)
+    # Re-running the package init re-binds the cached submodules, so the
+    # executor classes stay the same objects.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        external = importlib.import_module("repro.external")
+        package = importlib.reload(importlib.import_module("repro.exec"))
     assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
-    assert external.DiskPartitionedJoin is DiskPartitionedJoin
+    assert package.DiskPartitionedJoin is DiskPartitionedJoin

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ExternalMemoryError
-from repro.external import DiskPartitionedJoin, disk_partitioned_join
-from repro.external.partition import SpilledRelation, partition_relation
+from repro.exec.disk import DiskPartitionedJoin, disk_partitioned_join
+from repro.exec.partition import SpilledRelation, partition_relation
 from repro.relations.relation import Relation
 from tests.conftest import oracle_pairs, random_relation
 

@@ -115,12 +115,3 @@ class TestScrambleUniformity:
     def test_low_bits_not_constant(self):
         scheme = ScrambleScheme(8)
         assert len({scheme.bit_of(e) for e in range(64)}) == 8
-
-    def test_pick_hash_spreads(self):
-        from collections import Counter
-
-        from repro.external.psj import _pick_hash
-
-        counts = Counter(_pick_hash(e, 8) for e in range(400))
-        assert len(counts) == 8
-        assert max(counts.values()) < 3 * min(counts.values())

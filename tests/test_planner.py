@@ -402,12 +402,11 @@ class TestShardedPlanning:
         workload = Workload(workers=2, shards=3)
         p = Planner().plan(make_stats(1000), make_stats(1000), workload)
         assert p.executor == "sharded"
-        assert p.options() == {"workers": 2, "shards": 3, "strategy": "element"}
+        assert p.options() == {"workers": 2, "shards": 3}
         chunking = p.decision("chunking")
         detail = chunking.detail_dict()
         assert detail["shards"] == 3
         assert 1.0 <= detail["expected_probe_fanout"] <= 3.0
-        assert any(alt.choice == "signature partitioning" for alt in chunking.rejected)
 
     def test_sharded_decision_costs_the_alternatives(self):
         p = Planner().plan(make_stats(1000), make_stats(1000), Workload(workers=2, shards=3))
@@ -474,15 +473,6 @@ class TestEstimateSharded:
         sharded = profile.estimate_sharded(r, s, 64, shards=4, workers=4)
         assert sharded.build == pytest.approx(base.build / 4)
 
-    def test_element_routing_beats_signature_broadcast(self):
-        # Without skew, routed probes touch fewer shard-index fractions
-        # than a broadcast, so element partitioning must cost no more.
-        r, s = make_stats(1000, avg_c=8.0, median_c=8.0), make_stats(1000, avg_c=8.0, median_c=8.0)
-        profile = COST_PROFILES["ptsj"]
-        element = profile.estimate_sharded(r, s, 64, shards=8, workers=4, strategy="element")
-        signature = profile.estimate_sharded(r, s, 64, shards=8, workers=4, strategy="signature")
-        assert element.probe <= signature.probe
-
     def test_skew_penalises_element_placement_only(self):
         skewed = make_stats(1000, avg_c=32.0, median_c=4.0)  # skew = 8, capped at 2
         uniform = make_stats(1000, avg_c=32.0, median_c=32.0)
@@ -490,9 +480,6 @@ class TestEstimateSharded:
         penalised = profile.estimate_sharded(make_stats(1000), skewed, 64, 4, 4)
         clean = profile.estimate_sharded(make_stats(1000), uniform, 64, 4, 4)
         assert penalised.probe == pytest.approx(clean.probe * 2.0)
-        sig_a = profile.estimate_sharded(make_stats(1000), skewed, 64, 4, 4, "signature")
-        sig_b = profile.estimate_sharded(make_stats(1000), uniform, 64, 4, 4, "signature")
-        assert sig_a.probe == pytest.approx(sig_b.probe)
 
     def test_every_profile_estimates_sharded_without_error(self):
         r, s = make_stats(100), make_stats(100)

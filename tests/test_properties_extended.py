@@ -1,6 +1,6 @@
 """Property-based tests for the later-added components.
 
-Covers the PSJ pick partitioning, the Jaccard join,
+Covers the in-process element-partitioned join, the Jaccard join,
 the densify/relabel transforms and the dynamic Patricia index — each
 against an independent formulation of its contract.
 """
@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from repro.baselines.nested_loop import nested_loop_join_pairs
 from repro.core.ptsj import PTSJ
+from repro.exec.sharded import ShardedJoin
 from repro.extensions.set_index import PatriciaSetIndex
 from repro.extensions.similarity import jaccard_join
-from repro.external.psj import PickPartitionedSetJoin
 from repro.relations.relation import Relation
 from repro.relations.transforms import apply_universe, densify, relabel_by_frequency
 
@@ -22,14 +22,13 @@ element_sets = st.frozensets(st.integers(min_value=0, max_value=50), max_size=10
 set_lists = st.lists(element_sets, min_size=0, max_size=16)
 
 
-class TestPsjProperties:
+class TestElementPartitionedProperties:
     @settings(max_examples=30, deadline=None)
-    @given(r_sets=set_lists, s_sets=set_lists,
-           partitions=st.integers(1, 12), pick=st.sampled_from(["min", "rarest"]))
-    def test_psj_equals_oracle(self, r_sets, s_sets, partitions, pick):
+    @given(r_sets=set_lists, s_sets=set_lists, shards=st.integers(1, 12))
+    def test_in_process_shards_equal_oracle(self, r_sets, s_sets, shards):
         r, s = Relation.from_sets(r_sets), Relation.from_sets(s_sets)
-        got = PickPartitionedSetJoin(partitions=partitions, pick=pick,
-                                     algorithm="ptsj").join(r, s).pair_set()
+        got = ShardedJoin(algorithm="ptsj", workers=1,
+                          shards=shards).join(r, s).pair_set()
         assert got == set(nested_loop_join_pairs(r, s))
 
 

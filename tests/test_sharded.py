@@ -1,8 +1,8 @@
 """Differential and fault-injection tests for :class:`repro.exec.sharded.ShardedJoin`.
 
 The sharded executor's whole claim is *bit-for-bit* agreement with the
-inline oracle: for every shard count, both partition strategies, and any
-worker count or start method, the sorted pair list must equal the
+inline oracle: for every shard count and any worker count or start
+method, the sorted pair list must equal the
 sequential join's, and the merged counters must be reproducible.  The
 tests here check that claim differentially (against
 :func:`tests.conftest.oracle_pairs` and the inline executor), then drive
@@ -35,7 +35,6 @@ from repro.exec.sharded import (
     route_probe,
     shard_of,
     sharded_join,
-    stable_signature_hash,
 )
 from repro.relations.relation import Relation, SetRecord
 from repro.testing.faults import (
@@ -55,7 +54,8 @@ pytestmark = pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExce
 START_METHOD = os.environ.get("REPRO_START_METHOD") or None
 
 SHARD_COUNTS = (1, 2, 7)
-STRATEGIES = ("element", "signature")
+#: The shard placement every differential case runs (element residues).
+STRATEGIES = ("element",)
 
 #: Counters that must merge identically however the shards ran.
 COUNTER_FIELDS = ("candidates", "verifications", "node_visits", "intersections")
@@ -69,8 +69,8 @@ def make_join(**kwargs) -> ShardedJoin:
 
 @pytest.fixture(scope="module")
 def rs_pair():
-    # min_cardinality=0 keeps empty sets in play on both sides — the
-    # element strategy's trickiest routing case.
+    # min_cardinality=0 keeps empty sets in play on both sides — element
+    # routing's trickiest case.
     r = random_relation(50, 6, 35, seed=701)
     s = random_relation(50, 4, 35, seed=702)
     return r, s
@@ -92,37 +92,20 @@ def inline_stats(rs_pair) -> JoinStats:
 # Placement and routing (pure functions)
 # ----------------------------------------------------------------------
 class TestRouting:
-    def test_signature_hash_is_order_independent_and_stable(self):
-        a = stable_signature_hash(frozenset({3, 1, 4, 15}))
-        b = stable_signature_hash(frozenset({15, 4, 1, 3}))
-        assert a == b
-        # Pinned value: placement must never drift between versions or
-        # interpreters, or persisted shard layouts would silently break.
-        assert stable_signature_hash(frozenset()) == 0
-        assert stable_signature_hash(frozenset({0})) == 1000004
-
     def test_single_shard_takes_everything(self):
         rec = SetRecord(0, frozenset({9, 11}))
-        assert shard_of(rec, 1, "element") == 0
-        assert shard_of(rec, 1, "signature") == 0
-        assert route_probe(rec, 1, "element", False) == [0]
+        assert shard_of(rec, 1) == 0
+        assert route_probe(rec, 1, False) == [0]
 
     def test_empty_set_lives_in_shard_zero(self):
-        empty = SetRecord(0, frozenset())
-        for strategy in STRATEGIES:
-            assert shard_of(empty, 5, strategy) in (range(5) if strategy == "signature" else (0,))
-        assert shard_of(empty, 5, "element") == 0
+        assert shard_of(SetRecord(0, frozenset()), 5) == 0
 
     def test_element_probe_routes_to_residues(self):
         rec = SetRecord(0, frozenset({2, 5, 7}))
-        assert route_probe(rec, 5, "element", s_has_empty=False) == [0, 2]
+        assert route_probe(rec, 5, s_has_empty=False) == [0, 2]
         # An empty set in S subsets every probe, so shard 0 joins in.
-        assert route_probe(rec, 5, "element", s_has_empty=True) == [0, 2]
-        assert route_probe(SetRecord(1, frozenset({1})), 5, "element", True) == [0, 1]
-
-    def test_signature_probe_broadcasts(self):
-        rec = SetRecord(0, frozenset({2}))
-        assert route_probe(rec, 4, "signature", False) == [0, 1, 2, 3]
+        assert route_probe(rec, 5, s_has_empty=True) == [0, 2]
+        assert route_probe(SetRecord(1, frozenset({1})), 5, True) == [0, 1]
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -132,17 +115,16 @@ class TestRouting:
         r, s = rs_pair
         s_has_empty = any(not rec.elements for rec in s)
         for rr in r:
-            visited = set(route_probe(rr, shards, strategy, s_has_empty))
+            visited = set(route_probe(rr, shards, s_has_empty))
             for ss in s:
                 if ss.elements <= rr.elements:
-                    assert shard_of(ss, shards, strategy) in visited
+                    assert shard_of(ss, shards) in visited
 
     def test_partition_is_disjoint_and_total(self, rs_pair):
         _, s = rs_pair
-        for strategy in STRATEGIES:
-            placed = [shard_of(rec, 7, strategy) for rec in s]
-            assert all(0 <= p < 7 for p in placed)
-            assert len(placed) == len(s)
+        placed = [shard_of(rec, 7) for rec in s]
+        assert all(0 <= p < 7 for p in placed)
+        assert len(placed) == len(s)
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +138,7 @@ class TestDifferential:
         self, rs_pair, expected, shards, strategy, workers
     ):
         r, s = rs_pair
-        result = make_join(workers=workers, shards=shards, strategy=strategy).join(r, s)
+        result = make_join(workers=workers, shards=shards).join(r, s)
         assert sorted(result.pairs) == sorted(expected)
         assert result.stats.pairs == len(result.pairs)
         assert result.stats.extras["shards"] == shards
@@ -176,7 +158,7 @@ class TestDifferential:
     def test_merged_counters_are_run_to_run_deterministic(self, rs_pair, strategy):
         r, s = rs_pair
         runs = [
-            make_join(workers=2, shards=3, strategy=strategy).join(r, s) for _ in range(2)
+            make_join(workers=2, shards=3).join(r, s) for _ in range(2)
         ]
         assert runs[0].pairs == runs[1].pairs  # same order, not just same set
         for field in COUNTER_FIELDS:
@@ -203,9 +185,8 @@ class TestDifferential:
     def test_empty_sets_in_s_join_every_probe(self):
         r = Relation.from_sets([{1, 2}, {4}], name="R")
         s = Relation.from_sets([set(), {2}], name="S")
-        for strategy in STRATEGIES:
-            result = make_join(workers=1, shards=3, strategy=strategy).join(r, s)
-            assert sorted(result.pairs) == sorted(oracle_pairs(r, s))
+        result = make_join(workers=1, shards=3).join(r, s)
+        assert sorted(result.pairs) == sorted(oracle_pairs(r, s))
 
     def test_more_shards_than_workers_or_records(self, rs_pair, expected):
         r, s = rs_pair
@@ -227,7 +208,7 @@ class TestValidation:
         dict(workers=0),
         dict(shards=0),
         dict(shards=-2),
-        dict(strategy="modulo"),
+        dict(start_method="no-such-method"),
         dict(timeout_seconds=0.0),
     ])
     def test_invalid_configuration(self, bad):
