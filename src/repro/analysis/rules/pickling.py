@@ -1,18 +1,17 @@
 """RPR002 — pickle-safety at the process boundary.
 
-Everything submitted to a pool in :mod:`repro.exec`, and every
-``Process(target=...)`` started there, crosses a process boundary, and under the ``spawn`` start method
-(the CI matrix runs both ``fork`` and ``spawn``) the callable is pickled
-by reference.  Lambdas, nested closures and bound methods are not
-picklable, so a submission that works under ``fork`` dies with a
-``PicklingError`` under ``spawn`` — the exact regression PR 2's resilient
-executor exists to avoid.  Only module-level functions may cross:
-``_probe_slot`` (:mod:`repro.exec.parallel`), ``_init_worker`` and
-``_probe_chunk`` (:mod:`repro.exec.resilient`) and ``_join_shard``
-(:mod:`repro.exec.sharded`).  The recovery supervisor in
-:mod:`repro.exec.supervisor` submits nothing itself: each executor's
-``send`` and ``new_pool`` hooks name their entry point directly at the
-``submit``/``initializer=`` call, where this rule sees it.
+Every ``Process(target=...)`` started in :mod:`repro.exec`, and anything
+submitted to a pool there, crosses a process boundary, and under the
+``spawn`` start method (the CI matrix runs both ``fork`` and ``spawn``)
+the callable is pickled by reference.  Lambdas, nested closures and
+bound methods are not picklable, so a child that starts under ``fork``
+dies with a ``PicklingError`` under ``spawn``.  Only module-level
+functions may cross.  The one entry point is the supervisor's child loop,
+``_serve_slot`` (:mod:`repro.exec.supervisor`), started with
+``target=``, where this rule sees it; the calls it runs are
+``functools.partial`` objects over the module-level ``_probe``
+(:mod:`repro.exec.parallel`) and ``_join_shard``
+(:mod:`repro.exec.sharded`).
 """
 
 from __future__ import annotations
@@ -96,12 +95,12 @@ RULES = (
     Rule(
         id="RPR002",
         title="unpicklable callable crosses the process boundary",
-        rationale="repro.exec pools run under both fork and spawn; "
+        rationale="repro.exec worker processes run under both fork and spawn; "
         "lambdas, closures and bound methods pickle only by reference and "
         "fail under spawn, turning a green fork-only run into a production "
         "crash.",
-        fixit="submit a module-level function (like _probe_slot / "
-        "_init_worker) and pass state through its arguments",
+        fixit="start a module-level function (like _serve_slot) and "
+        "pass state through its arguments",
         check=check_pickle_safety,
     ),
 )

@@ -185,13 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help=f"auto or one of: {', '.join(available_algorithms())}")
     join.add_argument("--bits", type=int, default=None,
                       help="signature length override (signature algorithms)")
-    join.add_argument("--executor", default=None,
-                      choices=("inline", "parallel", "resilient", "disk", "sharded"),
-                      help="run a specific repro.exec executor directly "
-                           "instead of the one the planner picks from the "
-                           "workload flags below (uses --workers/--shards/"
-                           "--memory-budget/--retries/--timeout-seconds; "
-                           "see docs/EXECUTORS.md)")
+    # --explain prints the planner's decision, so it cannot sit next to an
+    # executor pinned past the planner.
+    pinned = join.add_mutually_exclusive_group()
+    pinned.add_argument("--executor", default=None,
+                        choices=("inline", "parallel", "resilient", "disk", "sharded"),
+                        help="run a specific repro.exec executor directly "
+                             "instead of the one the planner picks from the "
+                             "workload flags below (uses --workers/--shards/"
+                             "--memory-budget/--retries/--timeout-seconds; "
+                             "see docs/EXECUTORS.md)")
     join.add_argument("--retries", type=int, default=0,
                       help="with --executor resilient or sharded: retry "
                            "each failed probe chunk or shard up to N times "
@@ -204,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--no-fallback", action="store_true",
                       help="with --executor resilient or sharded: raise "
                            "instead of probing exhausted chunks in-process")
-    join.add_argument("--explain", action="store_true",
-                      help="print the planner's decision tree before running")
+    pinned.add_argument("--explain", action="store_true",
+                        help="print the planner's decision tree before running")
     add_workload(join)
     add_backend(join)
     join.add_argument("-o", "--output", help="write pairs to this file")
@@ -471,7 +474,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
 
     start = perf_counter()
     with use(tracer), govern(policy):
-        if args.explain or not args.executor:
+        if not args.executor:
             query_plan = plan_join(r, s, algorithm=algorithm,
                                    workload=_workload_from_args(args), **kwargs)
             if args.explain:

@@ -111,13 +111,14 @@ class JoinStats:
             Prepared-index probes also record ``probe_calls`` (how many
             batches this index has served, including the current one) and
             ``reused_index`` (1 when the index existed before this call).
-            The fault-tolerant parallel executor
-            (:class:`repro.exec.resilient.ResilientParallelJoin`) always
-            reports its degradation counters here — ``retries``,
-            ``timeouts``, ``fallback_chunks``, ``pool_restarts`` and
-            ``corrupt_chunks``, all zero on a clean run — so a join that
-            survived worker failures is distinguishable from one that
-            never saw any (see ``docs/ROBUSTNESS.md``).
+            The parallel and resilient executors always report their
+            recovery counters here — ``retries``, ``timeouts``,
+            ``fallback_chunks``, ``pool_restarts`` (worker children
+            replaced after a hard death) and ``corrupt_chunks``, all zero
+            on a clean run — so a join that survived worker failures is
+            distinguishable from one that never saw any (see
+            ``docs/ROBUSTNESS.md``); the sharded executor reports the
+            shard-shaped equivalents.
     """
 
     algorithm: str = ""

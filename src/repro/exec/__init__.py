@@ -17,8 +17,10 @@ sharded     :class:`~repro.exec.sharded.ShardedJoin`      S-index shards + recov
 
 :func:`repro.planner.executor.execute_plan` dispatches through
 :func:`executor_class` — one registry lookup, no per-class branches.
-The resilient and sharded executors share one recovery ladder,
-:class:`~repro.exec.supervisor.Supervisor`.  See ``docs/EXECUTORS.md``.
+The parallel, resilient and sharded executors are three configurations
+of one supervisor, :class:`~repro.exec.supervisor.Supervisor`: the
+parent runs one slot of tasks and starts one child per further slot,
+each answering over its own pipe.  See ``docs/EXECUTORS.md``.
 """
 
 from __future__ import annotations

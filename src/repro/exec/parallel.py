@@ -5,91 +5,49 @@ essential when relation size goes beyond millions of tuples."
 
 This module provides the straightforward first step on top of the
 prepared-index split: the index over ``S`` is built **exactly once** in
-the parent, the probe relation ``R`` is split into chunks, and the
-chunks are dealt round-robin to ``workers`` slots.  The parent is slot
-0 and probes its own chunks in-process; every further slot is one child
-process started for this join alone.  Output equals the sequential
-join's because ``R ⋈⊇ S = ⋃_i (R_i ⋈⊇ S)``.
+the parent, the probe relation ``R`` is split into chunks, and each
+chunk becomes one task of the supervisor in
+:mod:`repro.exec.supervisor`, which deals them round-robin to
+``workers`` slots.  The parent is slot 0 and probes its own chunks
+in-process; every further slot is one child process started for this
+join alone.  Output equals the sequential join's because
+``R ⋈⊇ S = ⋃_i (R_i ⋈⊇ S)``.
 
 Index sharing is zero-copy under ``fork``: a child inherits the
 parent's prepared index and its chunks through copy-on-write pages.
 Under ``spawn`` or ``forkserver`` they are pickled to each child once —
-still one *build*, never one build per worker or per chunk.  A child
-sends one reply down a one-way pipe: its chunks' pairs as two
-``array('q')`` columns plus their :class:`~repro.core.base.JoinStats`,
-or the exception it raised.  Nothing outlives the join: no pool, no
-thread, no module state, and every child is reaped before
-:meth:`ParallelJoin.join` returns or raises.
+still one *build*, never one build per worker or per chunk.
 
-:class:`ParallelJoin` is the fail-fast executor: any worker failure
-aborts the join.  :class:`repro.exec.resilient.ResilientParallelJoin`
-layers per-chunk retry, timeouts and an in-process fallback on top of
-the same chunking, and :class:`repro.exec.sharded.ShardedJoin`
-partitions the *index side* instead of sharing it — see
-``docs/EXECUTORS.md`` for the full matrix.
+:class:`ParallelJoin` is the supervisor's fail-fast configuration: one
+attempt per chunk, no fallback and no per-pair validation, so any worker
+failure aborts the join with the chunk's own error.
+:class:`repro.exec.resilient.ResilientParallelJoin` is the same join
+with per-chunk retry, timeouts and an in-process fallback switched on,
+and :class:`repro.exec.sharded.ShardedJoin` partitions the *index side*
+instead of sharing it — see ``docs/EXECUTORS.md`` for the full matrix.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from array import array
-from operator import itemgetter
-from typing import Any, ClassVar, Iterable, Sequence
+from functools import partial
+from typing import Any, Callable, ClassVar
 
 from repro.core.base import JoinResult, JoinStats, PreparedIndex
 from repro.core.options import validate_chunks, validate_start_method, validate_workers
-from repro.errors import WorkerError
-from repro.exec.merge import merge_stats
+from repro.errors import BudgetExceededError
 from repro.exec.protocol import BaseExecutor
 from repro.exec.partition import partition_relation
-from repro.governance.policy import GovernancePolicy, current_policy, governor, set_policy
-from repro.obs.tracer import NullTracer, current_tracer, set_tracer
+from repro.exec.supervisor import Outcome, RetryPolicy, Supervisor, Task, Work
+from repro.obs.tracer import current_tracer
 from repro.relations.relation import Relation
 
 __all__ = ["ParallelJoin", "parallel_join", "record_chunk_span"]
 
 
-def _columns(pairs: list[tuple[int, int]]) -> tuple[Sequence[int], Sequence[int]]:
-    """Split pairs into an r-id and an s-id column for the trip home.
-
-    Two ``array('q')`` buffers pickle as raw bytes, far cheaper than a
-    list of tuples.  Ids beyond int64 travel as plain lists instead.
-    """
-    try:
-        return array("q", map(itemgetter(0), pairs)), array("q", map(itemgetter(1), pairs))
-    except OverflowError:
-        return [p[0] for p in pairs], [p[1] for p in pairs]
-
-
-def _probe_slot(
-    index: PreparedIndex,
-    chunks: list[Relation],
-    policy: GovernancePolicy | None,
-    conn: Any,
-) -> None:
-    """Child entry point (module-level so it pickles): probe, reply, exit.
-
-    The parent's governance policy (deadline/cancel token) arrives as an
-    argument, so the probe loops poll the *parent's* bounds — the
-    deadline is an absolute monotonic instant (system-wide on POSIX) and
-    the token can be flag-file backed, so both read identically here.
-    The child traces nothing: its probe times travel home in each
-    chunk's stats, and the parent records them.
-    """
-    set_tracer(NullTracer())
-    set_policy(policy)
-    try:
-        outcomes = []
-        for chunk in chunks:
-            result = index.probe_many(chunk)
-            outcomes.append((*_columns(result.pairs), result.stats))
-        reply: tuple[str, Any] = ("ok", outcomes)
-    except Exception as exc:  # noqa: BLE001 - re-raised in the parent
-        reply = ("error", exc)
-    # A reply that fails to pickle kills the child, which the parent
-    # reports as a WorkerError with exit code 1.
-    conn.send(reply)
-    conn.close()
+def _probe(index: PreparedIndex, chunk: Relation) -> Outcome:
+    """One attempt at one chunk (module-level so it pickles): probe, never build."""
+    result = index.probe_many(chunk)
+    return result.pairs, result.stats
 
 
 def record_chunk_span(tracer, chunk_stats: JoinStats) -> None:
@@ -143,6 +101,14 @@ class ParallelJoin(BaseExecutor):
 
     name: ClassVar[str] = "parallel"
 
+    #: The supervisor's fail-fast configuration (the resilient executor
+    #: sets these per instance).
+    retry_policy: RetryPolicy = RetryPolicy(max_attempts=1)
+    timeout_seconds: float | None = None
+    fallback: bool = False
+    validate_results: bool = False
+    index_transform: Callable[[PreparedIndex], PreparedIndex] | None = None
+
     def __init__(
         self,
         algorithm: str = "ptsj",
@@ -182,85 +148,69 @@ class ParallelJoin(BaseExecutor):
                 code is named).  An exception a child raises is re-raised
                 here as is.
         """
-        stats = JoinStats(algorithm=f"parallel-{self.algorithm}")
+        stats = JoinStats(algorithm=f"{self.name}-{self.algorithm}")
         r_chunks = self._partition(r, stats)
 
-        index = self.prepare(s, probe_hint=r)
-        stats.build_seconds = index.build_seconds
-        stats.signature_bits = index.signature_bits
-        stats.index_nodes = index.index_nodes
+        # ``pristine`` is the known-good copy only the fallback probes;
+        # every attempt, the parent's own slot included, probes the
+        # (possibly fault-wrapped) ``index``.
+        try:
+            pristine = self.prepare(s, probe_hint=r)
+        except BudgetExceededError as breach:
+            return self._degrade(r, s, breach, stats)
+        index = pristine
+        if self.index_transform is not None:
+            index = self.index_transform(pristine)
+        stats.build_seconds = pristine.build_seconds
+        stats.signature_bits = pristine.signature_bits
+        stats.index_nodes = pristine.index_nodes
         stats.extras["index_builds"] = 1
 
-        slots = min(self.workers, len(r_chunks))
-        owned = [range(slot, len(r_chunks), slots) for slot in range(slots)]
-        outcomes: list[tuple[Iterable[tuple[int, int]], JoinStats] | None]
-        outcomes = [None] * len(r_chunks)
-        policy = current_policy()
-        if policy is not None:
-            policy = policy.worker_policy()
-        context = multiprocessing.get_context(self.start_method)
-        children: list[tuple[int, Any, Any]] = []
-        try:
-            for slot in range(1, slots):
-                recv_conn, send_conn = context.Pipe(duplex=False)
-                chunks = [r_chunks[i] for i in owned[slot]]
-                proc = context.Process(
-                    target=_probe_slot,
-                    args=(index, chunks, policy, send_conn),
-                    daemon=True,
-                )
-                children.append((slot, proc, recv_conn))
-                try:
-                    proc.start()
-                finally:
-                    # Only the child may hold the send end: once it dies,
-                    # recv() then sees EOF instead of blocking forever.
-                    send_conn.close()
-            # Slot 0 is the parent.  Its probes run under the active
-            # tracer, so probe_many opens the spans itself.
-            for i in owned[0]:
-                result = index.probe_many(r_chunks[i])
-                outcomes[i] = (result.pairs, result.stats)
-            tracer = current_tracer()
-            gov = governor("probe", stats)
-            for slot, proc, conn in children:
-                # Receive before joining: a reply larger than the pipe
-                # buffer keeps the child alive until it has been read.
-                try:
-                    status, payload = conn.recv()
-                except EOFError:
-                    proc.join()
-                    raise WorkerError(
-                        f"parallel worker {slot} (pid {proc.pid}) exited with code "
-                        f"{proc.exitcode} before replying"
-                    ) from None
-                if status == "error":
-                    raise payload
-                for i, (r_ids, s_ids, chunk_stats) in zip(owned[slot], payload):
-                    outcomes[i] = (zip(r_ids, s_ids), chunk_stats)
-                    record_chunk_span(tracer, chunk_stats)
-                # Fail-fast executor: the parent re-checks the bounds after
-                # each child's reply, so a breach that never reaches a
-                # child (e.g. cancel without a flag file) still stops the
-                # join.
-                if gov is not None:
-                    gov.poll()
-        finally:
-            for _, proc, conn in children:
-                conn.close()
-                if proc.pid is None:  # start() itself failed
-                    continue
-                if proc.is_alive():
-                    proc.terminate()
-                proc.join()
+        s_ids: frozenset[int] = frozenset()
+        if self.validate_results:
+            s_ids = frozenset(rec.rid for rec in pristine.relation)
+        tasks = [Task(i, i, chunk, s_ids) for i, chunk in enumerate(r_chunks)]
+        return _ChunkSupervisor(self, tasks, index, pristine).run(stats)
 
-        pairs: list[tuple[int, int]] = []
-        for outcome in outcomes:
-            assert outcome is not None
-            chunk_pairs, chunk_stats = outcome
-            pairs.extend(chunk_pairs)
-            merge_stats(stats, chunk_stats)
-        return JoinResult(pairs, stats)
+    def _degrade(
+        self, r: Relation, s: Relation, breach: BudgetExceededError, stats: JoinStats
+    ) -> JoinResult:
+        """Fail fast: a build over the memory budget fails the join."""
+        raise breach
+
+
+class _ChunkSupervisor(Supervisor):
+    """The supervisor over R-chunks probing one shared index."""
+
+    noun = "chunk"
+    verb = "probing"
+    sources = "the probed chunk / indexed relation"
+
+    def __init__(
+        self,
+        executor: ParallelJoin,
+        tasks: list[Task],
+        index: PreparedIndex,
+        pristine: PreparedIndex,
+    ) -> None:
+        super().__init__(executor, tasks)
+        self.index = index
+        self.pristine = pristine
+
+    def work(self, task: Task) -> Work:
+        return partial(_probe, self.index, task.probes)
+
+    def last_resort(self, task: Task) -> Outcome:
+        """Probe the chunk in the parent, on the pristine index.
+
+        The fallback deliberately bypasses ``index_transform``: whatever
+        wrapper was shipped to the workers, the parent's untouched copy is
+        the ground truth of last resort.
+        """
+        return _probe(self.pristine, task.probes)
+
+    def record(self, task: Task, task_stats: JoinStats) -> None:
+        record_chunk_span(current_tracer(), task_stats)
 
 
 def parallel_join(

@@ -21,18 +21,14 @@ while ``S`` contains an empty set.  This is the pick partitioning of the
 PSJ/APSJ family the paper's Sec. III-E4 points to; ``workers=1`` runs it
 in-process.
 
-Each shard is one worker task carrying everything it needs (algorithm
-name, its S-partition, its routed probes), so shards survive pool
-restarts without initializer state.  The tasks run under the recovery
-ladder of :class:`repro.exec.supervisor.Supervisor`, the one the
-resilient executor uses for chunks, which here covers **shard loss**: a
-crashed or dying shard worker is retried with deterministic backoff, a
-hung shard is timed out and abandoned, and a shard whose retries are
-exhausted is rebuilt and probed in the parent process (the fallback of
-last resort — the parent rebuilds the shard index *without* any fault
-transform).  Degradation is observable via ``stats.extras``:
-``retries``, ``timeouts``, ``fallback_shards``, ``pool_restarts`` and
-``corrupt_shards`` are always present and zero on a clean run.
+Each shard is one self-contained task of
+:class:`repro.exec.supervisor.Supervisor` (algorithm name, S-partition,
+routed probes), so the ladder that guards chunks also covers **shard
+loss**: a crashed, dying, lying or hung shard worker is retried or timed
+out, and a shard whose retries are exhausted is rebuilt and probed in the
+parent *without* any fault transform.  ``retries``, ``timeouts``,
+``fallback_shards``, ``pool_restarts`` and ``corrupt_shards`` are always
+in ``stats.extras`` and zero on a clean run.
 
 Determinism: shard membership and probe routing are pure functions of
 record elements, results are merged in shard-id order with
@@ -45,7 +41,7 @@ probe in order, so merged counters equal the inline oracle's exactly.
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor
+from functools import partial
 from typing import Any, Callable, ClassVar
 
 from repro.core.base import JoinResult, JoinStats, PreparedIndex
@@ -56,15 +52,8 @@ from repro.core.options import (
     validate_workers,
 )
 from repro.exec.protocol import BaseExecutor
-from repro.exec.supervisor import (
-    Outcome,
-    RetryPolicy,
-    Supervisor,
-    Task,
-    recovery_extras,
-    worker_policy,
-)
-from repro.governance.policy import GovernancePolicy, governor, set_policy
+from repro.exec.supervisor import Outcome, RetryPolicy, Supervisor, Task, Work, recovery_extras
+from repro.governance.policy import governor
 from repro.obs.tracer import current_tracer
 from repro.relations.relation import Relation, SetRecord
 
@@ -73,17 +62,6 @@ __all__ = ["ShardedJoin", "sharded_join", "SHARD_EXTRAS"]
 #: Stats extras every sharded join reports (zero on a clean run).
 SHARD_EXTRAS = recovery_extras("shard")
 
-#: What one shard task ships to its worker: shard id, algorithm name and
-#: kwargs, S-partition, routed probes, fault transform, governance policy.
-ShardPayload = tuple[
-    int,
-    str,
-    dict[str, Any],
-    Relation,
-    Relation,
-    Callable[[PreparedIndex], PreparedIndex] | None,
-    GovernancePolicy | None,
-]
 
 def shard_of(record: SetRecord, shards: int) -> int:
     """The single shard a ``S``-record lives in (pure, deterministic)."""
@@ -108,35 +86,27 @@ def route_probe(record: SetRecord, shards: int, s_has_empty: bool) -> list[int]:
     return sorted(targets)
 
 
-def _join_shard(payload: ShardPayload) -> Outcome:
-    """Worker entry point (module-level so it pickles): build *and* probe.
+def _join_shard(
+    algorithm: str,
+    algorithm_kwargs: dict[str, Any],
+    s_part: Relation,
+    probes: Relation,
+    transform: Callable[[PreparedIndex], PreparedIndex] | None,
+) -> Outcome:
+    """One attempt at one shard (module-level so it pickles): build *and* probe.
 
     Unlike the chunk executors, each shard task is self-contained — it
     carries its S-partition and routed probes, builds the shard index
     locally, applies the (picklable) fault transform if any, and probes.
     The returned stats include the shard's build time, nodes and
     signature bits, so the parent's merge accounts for every build.
-
-    The payload's last slot is the parent's governance policy (or None):
-    the deadline is an absolute monotonic instant and the cancel token
-    can be flag-file backed, so the worker's build/probe loops poll the
-    *parent's* bounds.  An in-process call passes None and inherits the
-    caller's ambient policy instead of clobbering it.
     """
-    shard_id, algorithm, algorithm_kwargs, s_part, probes, transform, policy = payload
     from repro.core.registry import make_algorithm
 
-    previous = set_policy(policy) if policy is not None else None
-    try:
-        index = make_algorithm(algorithm, **algorithm_kwargs).prepare(
-            s_part, probe_hint=probes
-        )
-        if transform is not None:
-            index = transform(index)
-        result = index.probe_many(probes)
-    finally:
-        if policy is not None:
-            set_policy(previous)
+    index = make_algorithm(algorithm, **algorithm_kwargs).prepare(s_part, probe_hint=probes)
+    if transform is not None:
+        index = transform(index)
+    result = index.probe_many(probes)
     stats = result.stats
     stats.build_seconds += index.build_seconds
     stats.index_nodes = max(stats.index_nodes, index.index_nodes)
@@ -175,12 +145,13 @@ class ShardedJoin(BaseExecutor):
     Args:
         algorithm: Registry name of the in-memory algorithm built per
             shard.
-        workers: Worker process count (>= 1).  ``workers=1`` runs the
-            shard tasks in-process (retry and fallback still apply;
-            ``timeout_seconds`` does not — in-process probes cannot be
+        workers: Number of processes that join shards, the parent
+            included (>= 1).  ``workers=1`` runs the shard tasks
+            in-process (retry and fallback still apply;
+            ``timeout_seconds`` does not — in-process joins cannot be
             pre-empted).
         shards: Number of S-partitions; defaults to ``workers``.
-        start_method: Multiprocessing start method for the pool.
+        start_method: Multiprocessing start method for the children.
         retry_policy: Retry schedule per shard (default: 3 attempts, no
             backoff) — the same ladder the resilient executor uses for
             chunks.
@@ -192,7 +163,7 @@ class ShardedJoin(BaseExecutor):
         validate_results: When True (default), shard results are checked
             for alien tuple ids; corrupt shards are retried.
         index_transform: Optional *picklable* hook applied to each shard
-            index inside its worker — the seam
+            index where it is built — the seam
             :class:`repro.testing.faults.IndexFault` uses to inject shard
             loss.  (Unlike the resilient executor's transform, this one
             crosses a process boundary, so lambdas won't do.)
@@ -320,34 +291,20 @@ class _ShardSupervisor(Supervisor):
         #: Each task's S-partition, by task position.
         self.parts = parts
 
-    def _payload(
-        self,
-        task: Task,
-        transform: Callable[[PreparedIndex], PreparedIndex] | None,
-        policy: GovernancePolicy | None,
-    ) -> ShardPayload:
-        return (
-            task.label,
+    def _call(
+        self, task: Task, transform: Callable[[PreparedIndex], PreparedIndex] | None
+    ) -> Work:
+        return partial(
+            _join_shard,
             self.executor.algorithm,
             self.executor.algorithm_kwargs,
             self.parts[task.position],
             task.probes,
             transform,
-            policy,
         )
 
-    def new_pool(self) -> ProcessPoolExecutor:
-        """A pool with no initializer state: shard payloads carry their own."""
-        return ProcessPoolExecutor(
-            max_workers=min(self.workers, max(1, self.executor.shards)), mp_context=self.context
-        )
-
-    def send(self, pool: ProcessPoolExecutor, task: Task) -> Future[Outcome]:
-        payload = self._payload(task, self.executor.index_transform, worker_policy())
-        return pool.submit(_join_shard, payload)
-
-    def attempt(self, task: Task) -> Outcome:
-        return _join_shard(self._payload(task, self.executor.index_transform, None))
+    def work(self, task: Task) -> Work:
+        return self._call(task, self.executor.index_transform)
 
     def last_resort(self, task: Task) -> Outcome:
         """Rebuild and probe one lost shard in the parent process.
@@ -357,7 +314,7 @@ class _ShardSupervisor(Supervisor):
         pristine S-partition.  The rebuild's cost lands in the shard's
         returned stats, so the merge still accounts for it.
         """
-        return _join_shard(self._payload(task, None, None))
+        return self._call(task, None)()
 
     def record(self, task: Task, task_stats: JoinStats) -> None:
         record_shard_span(current_tracer(), task.label, task_stats)

@@ -1,51 +1,52 @@
-"""One recovery supervisor for the pooled executors that degrade instead of failing.
+"""One supervisor for every pooled executor: child-per-slot pipes plus a recovery ladder.
 
-:class:`~repro.exec.resilient.ResilientParallelJoin` (probe chunks over a
-shared index) and :class:`~repro.exec.sharded.ShardedJoin` (S-index
-shards built in their workers) recover from worker faults the same way.
-Each produces a list of :class:`Task` records and subclasses
-:class:`Supervisor` with the few hooks that differ; this module owns the
-recovery ladder itself, once:
+The parallel, resilient and sharded executors are three configurations
+of :class:`Supervisor`.  Each produces a list of :class:`Task` records
+and supplies the few hooks that differ; this module owns the worker
+transport and the recovery ladder, once.
 
-* **Retry** — a failed task is resubmitted up to
-  :attr:`RetryPolicy.max_attempts` times with deterministic (jitter-free)
-  exponential backoff, so tests can assert exact schedules.
-* **Timeout** — a pooled task that exceeds ``timeout_seconds`` is
-  abandoned (its worker may be hung) and completed by the parent's last
-  resort; the abandoned worker is terminated at shutdown rather than
-  awaited.
-* **Worker death** — a worker that dies hard (segfault, ``os._exit``)
-  breaks the whole :class:`~concurrent.futures.ProcessPoolExecutor`; the
-  pool is re-created and every in-flight task resubmitted.
-* **Corrupt results** — each result is checked against the task's own
-  probe ids and the S ids it owns; a worker returning alien pairs is
-  treated as failed and retried.
-* **Fallback** — a task whose retries are exhausted is completed in the
-  parent (on a known-good index, never the fault-wrapped one).  Only if
-  ``fallback`` is off does the join raise
-  :class:`~repro.errors.RetryExhaustedError` or
-  :class:`~repro.errors.JoinTimeoutError`.
-* **Governance** — the parent polls the ambient deadline/cancel bounds
-  once per scheduling round, with its wait capped so it wakes to poll.  A
-  :class:`~repro.errors.GovernanceError` is terminal: never retried,
-  never completed by the fallback, and the tasks it strands are counted
-  in ``stats.extras["cancelled_chunks"]``.
+**Transport.**  Tasks are dealt round-robin to ``min(workers, len(tasks))``
+slots.  Slot 0 is the parent, which runs its tasks in-process; every
+other slot is one child process started for this join alone with its
+tasks' calls as ``Process`` arguments (inherited under ``fork``, pickled
+once under ``spawn``/``forkserver``).  A child replies once per task down
+a one-way pipe — the pairs as two ``array('q')`` columns plus the task's
+:class:`~repro.core.base.JoinStats`, or the exception the task raised,
+after which it exits.  The parent waits on the pipes with
+:func:`multiprocessing.connection.wait`, starts no thread, and reaps every
+child before :meth:`Supervisor.run` returns or raises.  With
+``timeout_seconds`` set and ``workers > 1`` every slot is a child and the
+parent only supervises: an in-process attempt cannot be pre-empted.
 
-With ``workers == 1`` the tasks run in-process; retry and fallback still
-apply, timeouts do not (an in-process attempt cannot be pre-empted).
-Degradation is observable: ``stats.extras`` always carries the five
-:func:`recovery_extras` counters, all zero on a clean run.  See
-``docs/ROBUSTNESS.md`` for the full semantics.
+**Recovery is per slot.**  A child that sends an error reply, dies (EOF
+on its pipe, counted in ``pool_restarts``), returns pairs with ids its
+task never held, or runs past its task's deadline is terminated if still
+alive and reaped, and a fresh child takes over the slot's unfinished
+tasks; sibling slots are untouched.  The failed task is retried after the
+rest of its slot, up to :attr:`RetryPolicy.max_attempts` times with
+deterministic backoff.  An overdue task (its clock starts when its child
+starts it) and a task whose retries are exhausted are completed by the
+parent's last resort on known-good state — or, without ``fallback``,
+raise :class:`~repro.errors.JoinTimeoutError` /
+:class:`~repro.errors.RetryExhaustedError`, and with a single attempt
+the task's own error as is (the fail-fast configuration).  A
+:class:`~repro.errors.GovernanceError` is terminal: the parent polls the
+ambient bounds once per round, with its wait capped so it wakes to poll,
+and counts the tasks an abort strands in ``extras["cancelled_chunks"]``.
+
+``stats.extras`` always carries the five :func:`recovery_extras`
+counters, all zero on a clean run.  See ``docs/ROBUSTNESS.md``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from array import array
 from dataclasses import dataclass
-from typing import ClassVar, Protocol
+from multiprocessing.connection import wait
+from operator import itemgetter
+from typing import Any, Callable, ClassVar, Iterable, Protocol, Sequence
 
 from repro.core.base import JoinResult, JoinStats
 from repro.errors import (
@@ -56,15 +57,18 @@ from repro.errors import (
     WorkerError,
 )
 from repro.exec.merge import merge_stats
-from repro.governance.policy import GovernancePolicy, current_policy, governor
+from repro.governance.policy import GovernancePolicy, current_policy, governor, set_policy
 from repro.obs.clock import monotonic
-from repro.obs.tracer import current_tracer
+from repro.obs.tracer import NullTracer, current_tracer, set_tracer
 from repro.relations.relation import Relation
 
-__all__ = ["RetryPolicy", "Supervisor", "Task", "recovery_extras", "worker_policy"]
+__all__ = ["RetryPolicy", "Supervisor", "Task", "recovery_extras"]
 
 #: One task's result: its pairs and the stats its probe (or build) reported.
 Outcome = tuple[list[tuple[int, int]], JoinStats]
+
+#: One attempt at one task as a picklable zero-argument call.
+Work = Callable[[], Outcome]
 
 
 def recovery_extras(noun: str) -> tuple[str, ...]:
@@ -72,10 +76,42 @@ def recovery_extras(noun: str) -> tuple[str, ...]:
     return ("retries", "timeouts", f"fallback_{noun}s", "pool_restarts", f"corrupt_{noun}s")
 
 
-def worker_policy() -> GovernancePolicy | None:
-    """The ambient governance policy as shipped to pool workers, or None."""
-    policy = current_policy()
-    return policy.worker_policy() if policy is not None else None
+def _columns(pairs: list[tuple[int, int]]) -> tuple[Sequence[int], Sequence[int]]:
+    """Split pairs into an r-id and an s-id column for the trip home.
+
+    Two ``array('q')`` buffers pickle as raw bytes, far cheaper than a
+    list of tuples.  Ids beyond int64 travel as plain lists instead.
+    """
+    try:
+        return array("q", map(itemgetter(0), pairs)), array("q", map(itemgetter(1), pairs))
+    except OverflowError:
+        return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+def _serve_slot(calls: list[Work], policy: GovernancePolicy | None, conn: Any) -> None:
+    """Child entry point (module-level so it pickles): run each call, reply per task.
+
+    The parent's governance policy (deadline/cancel token) arrives as an
+    argument, so the child's loops poll the *parent's* bounds — the
+    deadline is an absolute monotonic instant (system-wide on POSIX) and
+    the token can be flag-file backed, so both read identically here.
+    The child traces nothing: its times travel home in each task's
+    stats, and the parent records them.
+    """
+    set_tracer(NullTracer())
+    set_policy(policy)
+    for call in calls:
+        try:
+            pairs, stats = call()
+            reply: tuple[str, Any] = ("ok", (*_columns(pairs), stats))
+        except Exception as exc:  # noqa: BLE001 - re-raised or retried in the parent
+            reply = ("error", exc)
+        # A reply that fails to pickle kills the child, which the parent
+        # sees as a worker death with exit code 1.
+        conn.send(reply)
+        if reply[0] == "error":
+            break
+    conn.close()
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,6 +180,34 @@ class Task:
         self.deadline: float | None = None
 
 
+def _overdue(task: Task) -> bool:
+    """Whether ``task``'s running attempt is past its deadline."""
+    return task.deadline is not None and task.deadline <= monotonic()
+
+
+class _Slot:
+    """One child process and the tasks it still owes, in reply order."""
+
+    __slots__ = ("number", "tasks", "proc", "conn")
+
+    def __init__(self, number: int, tasks: list[Task]) -> None:
+        self.number = number
+        self.tasks = tasks
+        self.proc: Any = None
+        self.conn: Any = None
+
+    def stop(self) -> None:
+        """Terminate the child if it is still alive, reap it, close its pipe."""
+        if self.conn is not None:
+            self.conn.close()
+        proc = self.proc
+        if proc is not None and proc.pid is not None:  # pid is None if start() failed
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+        self.proc = self.conn = None
+
+
 class RecoveryOptions(Protocol):
     """The executor settings a :class:`Supervisor` reads."""
 
@@ -156,14 +220,13 @@ class RecoveryOptions(Protocol):
 
 
 class Supervisor:
-    """Run one join's tasks to completion through the recovery ladder.
+    """Run one join's tasks to completion over child-per-slot pipes.
 
-    Subclasses supply what differs between executors: :meth:`new_pool`,
-    :meth:`send` (which submits a module-level worker entry point, so it
-    pickles under ``spawn``), :meth:`attempt` (one in-process try),
-    :meth:`last_resort` (the parent's fallback) and :meth:`record` (the
-    span a pooled result adds to the parent's trace), plus the nouns that
-    name tasks in extras and error messages.
+    Subclasses supply what differs between executors: :meth:`work` (one
+    attempt as a picklable call, run in the parent and in children
+    alike), :meth:`last_resort` (the parent's fallback) and
+    :meth:`record` (the span a child's result adds to the parent's
+    trace), plus the nouns that name tasks in extras and error messages.
 
     Args:
         options: The executor whose recovery settings apply.
@@ -184,25 +247,17 @@ class Supervisor:
         self.timeout_seconds = options.timeout_seconds
         self.fallback = options.fallback
         self.validate_results = options.validate_results
-        self.context = (
-            multiprocessing.get_context(options.start_method)
-            if options.start_method is not None
-            else None
-        )
+        self.context = multiprocessing.get_context(options.start_method)
 
     # ------------------------------------------------------------------
     # Hooks
     # ------------------------------------------------------------------
-    def new_pool(self) -> ProcessPoolExecutor:
-        """A fresh worker pool (also called after a pool breaks)."""
-        raise NotImplementedError  # pragma: no cover - subclasses implement
+    def work(self, task: Task) -> Work:
+        """One attempt at ``task`` as a picklable call.
 
-    def send(self, pool: ProcessPoolExecutor, task: Task) -> Future[Outcome]:
-        """Submit one attempt at ``task`` to ``pool``."""
-        raise NotImplementedError  # pragma: no cover - subclasses implement
-
-    def attempt(self, task: Task) -> Outcome:
-        """One in-process attempt at ``task`` (``workers == 1``)."""
+        Build it with ``functools.partial`` over a module-level function:
+        children receive it as a ``Process`` argument.
+        """
         raise NotImplementedError  # pragma: no cover - subclasses implement
 
     def last_resort(self, task: Task) -> Outcome:
@@ -210,7 +265,7 @@ class Supervisor:
         raise NotImplementedError  # pragma: no cover - subclasses implement
 
     def record(self, task: Task, task_stats: JoinStats) -> None:
-        """Fold a worker-measured result into the parent's span tree."""
+        """Fold a child-measured result into the parent's span tree."""
         raise NotImplementedError  # pragma: no cover - subclasses implement
 
     # ------------------------------------------------------------------
@@ -220,17 +275,57 @@ class Supervisor:
         """Run every task, then fold the outcomes in task order into ``stats``."""
         for key in recovery_extras(self.noun):
             stats.extras[key] = 0
-        if self.workers == 1:
-            outcomes = [self._run_inline(task, stats) for task in self.tasks]
-        else:
-            outcomes = self._run_pooled(stats)
+        results: list[Outcome | None] = [None] * len(self.tasks)
+        slots = min(self.workers, len(self.tasks))
+        dealt = [self.tasks[number::slots] for number in range(slots)]
+        in_parent = self.timeout_seconds is None or self.workers == 1
+        children = [
+            _Slot(number, tasks) for number, tasks in enumerate(dealt) if number or not in_parent
+        ]
+        gov = governor("probe", stats)
+        try:
+            for slot in children:
+                self._start(slot)
+            if in_parent and dealt:
+                self._run_local(dealt[0], results, stats)
+            busy = [slot for slot in children if slot.tasks]
+            while busy:
+                # The parent re-checks the bounds once per round: even if
+                # every child is wedged (so no task ever reports a
+                # governance error itself), the capped wait plus this poll
+                # stops the join within one poll interval.
+                if gov is not None:
+                    gov.poll()
+                ready = wait([slot.conn for slot in busy], timeout=self._wait_timeout(busy))
+                for slot in busy:
+                    if slot.conn in ready:
+                        self._receive(slot, results, stats)
+                    elif _overdue(slot.tasks[0]):
+                        self._expire(slot, results, stats)
+                busy = [slot for slot in busy if slot.tasks]
+        except GovernanceError:
+            # Record how many tasks the abort stranded before the finally
+            # block terminates their children.  tracer.record survives the
+            # raise, so the span tree stays balanced and still shows the
+            # abort.
+            cancelled = sum(1 for outcome in results if outcome is None)
+            stats.extras["cancelled_chunks"] = (
+                stats.extras.get("cancelled_chunks", 0) + cancelled
+            )
+            current_tracer().record("governance", 0.0, {"cancelled_chunks": cancelled})
+            raise
+        finally:
+            for slot in children:
+                slot.stop()
         pairs: list[tuple[int, int]] = []
-        for task_pairs, task_stats in outcomes:
+        for outcome in results:
+            assert outcome is not None
+            task_pairs, task_stats = outcome
             pairs.extend(task_pairs)
             merge_stats(stats, task_stats)
         return JoinResult(pairs, stats)
 
-    def check(self, task: Task, pairs: list[tuple[int, int]], stats: JoinStats) -> None:
+    def check(self, task: Task, pairs: Iterable[tuple[int, int]], stats: JoinStats) -> None:
         """Reject output referencing tuples the task never held."""
         if not self.validate_results:
             return
@@ -243,119 +338,154 @@ class Supervisor:
                     f"ids do not belong to {self.sources}"
                 )
 
-    def _run_inline(self, task: Task, stats: JoinStats) -> Outcome:
-        """Run one task in-process, retrying per the policy."""
-        while True:
+    def _run_local(
+        self, tasks: list[Task], results: list[Outcome | None], stats: JoinStats
+    ) -> None:
+        """Run the parent's own slot in-process, retrying per the policy."""
+        while tasks:
+            task = tasks.pop(0)
             task.attempts += 1
             try:
-                outcome = self.attempt(task)
+                outcome = self.work(task)()
                 self.check(task, outcome[0], stats)
-                return outcome
             except GovernanceError:
                 # Deadline/cancel/budget bounds are terminal by design:
                 # retrying cannot buy back elapsed wall time.
                 raise
             except Exception as exc:  # noqa: BLE001 - any task fault is retryable
-                last_error = exc
-            if task.attempts >= self.retry_policy.max_attempts:
-                return self._exhausted(task, stats, last_error)
-            self._backoff(task, stats)
+                self._retry(task, tasks, results, stats, exc)
+                continue
+            results[task.position] = outcome
 
-    def _run_pooled(self, stats: JoinStats) -> list[Outcome]:
-        """Drive every task through a worker pool, recovering failures."""
-        results: list[Outcome | None] = [None] * len(self.tasks)
-        pool = self.new_pool()
-        pending: dict[Future[Outcome], Task] = {}
-        abandoned = False
-        completed = False
-        gov = governor("probe", stats)
-        try:
-            for task in self.tasks:
-                self._submit(pool, task, pending)
-            while pending:
-                # The parent re-checks the bounds once per scheduling round:
-                # even if every worker is wedged (so no task ever reports a
-                # governance error itself), _wait_round's bounded sleep plus
-                # this poll stops the join within one poll interval.
-                if gov is not None:
-                    gov.poll()
-                pool_broken = False
-                for future in self._wait_round(pending):
-                    task = pending.pop(future)
-                    try:
-                        outcome = future.result()
-                        self.check(task, outcome[0], stats)
-                    except BrokenProcessPool:
-                        # Resubmitted by the pool restart below.
-                        pool_broken = True
-                        pending[future] = task
-                        continue
-                    except GovernanceError:
-                        # A worker hit the deadline/cancel bound: terminal,
-                        # never retried, never completed via fallback.
-                        raise
-                    except Exception as exc:  # noqa: BLE001 - retryable worker fault
-                        self._retry(pool, task, pending, results, stats, exc)
-                        continue
-                    self.record(task, outcome[1])
-                    results[task.position] = outcome
-                if pool_broken:
-                    pool = self._restart_pool(pool, pending, results, stats)
-                abandoned |= self._expire_overdue(pending, results, stats)
-            completed = True
-        except GovernanceError:
-            # Record how many tasks the abort stranded before the finally
-            # block force-terminates their workers.  tracer.record survives
-            # the raise, so the span tree stays balanced and still shows
-            # the abort.
-            cancelled = sum(1 for outcome in results if outcome is None)
-            stats.extras["cancelled_chunks"] = (
-                stats.extras.get("cancelled_chunks", 0) + cancelled
-            )
-            current_tracer().record("governance", 0.0, {"cancelled_chunks": cancelled})
-            raise
-        finally:
-            # An abnormal exit may leave hung workers behind; terminate
-            # them rather than letting shutdown await a process that will
-            # never finish.
-            _shutdown(pool, force=abandoned or not completed)
-        assert all(outcome is not None for outcome in results)
-        return results  # type: ignore[return-value]
-
-    def _submit(
-        self, pool: ProcessPoolExecutor, task: Task, pending: dict[Future[Outcome], Task]
+    def _retry(
+        self,
+        task: Task,
+        slot_tasks: list[Task],
+        results: list[Outcome | None],
+        stats: JoinStats,
+        error: Exception,
     ) -> None:
-        """Submit one attempt for ``task`` and start its timeout clock."""
+        """Re-queue a failed task after the rest of its slot, or finish it as exhausted.
+
+        Retrying after its slot-mates means one task cannot use up the
+        retries of a fault that strikes once per task.
+        """
+        if task.attempts < self.retry_policy.max_attempts:
+            self._backoff(task, stats)
+            slot_tasks.append(task)
+        else:
+            results[task.position] = self._exhausted(task, stats, error)
+
+    # ------------------------------------------------------------------
+    # Children
+    # ------------------------------------------------------------------
+    def _start(self, slot: _Slot) -> None:
+        """Start a child for the slot's unfinished tasks; its first attempt begins."""
+        recv_conn, send_conn = self.context.Pipe(duplex=False)
+        policy = current_policy()
+        slot.conn = recv_conn
+        slot.proc = self.context.Process(
+            target=_serve_slot,
+            args=(
+                [self.work(task) for task in slot.tasks],
+                policy.worker_policy() if policy is not None else None,
+                send_conn,
+            ),
+            daemon=True,
+        )
+        try:
+            slot.proc.start()
+        finally:
+            # Only the child may hold the send end: once it dies, the
+            # parent's recv() then sees EOF instead of blocking forever.
+            send_conn.close()
+        self._begin(slot.tasks[0])
+
+    def _begin(self, task: Task) -> None:
+        """Count one child attempt at ``task`` and start its timeout clock."""
         task.attempts += 1
-        future = self.send(pool, task)
         if self.timeout_seconds is not None:
             task.deadline = monotonic() + self.timeout_seconds
-        pending[future] = task
 
-    def _wait_round(self, pending: dict[Future[Outcome], Task]) -> set[Future[Outcome]]:
-        """Block until a future completes or the nearest bound passes.
+    def _wait_timeout(self, busy: list[_Slot]) -> float | None:
+        """How long the parent may block before a bound needs it.
 
-        The wait is additionally capped by the governance policy so the
-        blocked parent wakes to poll: at the join deadline's remaining
-        time, and at 50ms whenever a cancel token is armed (a token has
-        no absolute instant to sleep until).
+        The nearest task deadline caps the wait, and the governance
+        policy caps it further so the blocked parent wakes to poll: at
+        the join deadline's remaining time, and at 50ms whenever a cancel
+        token is armed (a token has no absolute instant to sleep until).
         """
-        wait_timeout: float | None = None
+        caps: list[float] = []
         if self.timeout_seconds is not None:
-            nearest = min(task.deadline for task in pending.values() if task.deadline)
-            wait_timeout = max(0.0, nearest - monotonic())
+            nearest = min(slot.tasks[0].deadline or 0.0 for slot in busy)
+            caps.append(nearest - monotonic())
         policy = current_policy()
-        if policy is not None:
-            if policy.cancel is not None:
-                wait_timeout = 0.05 if wait_timeout is None else min(wait_timeout, 0.05)
-            if policy.deadline is not None:
-                remaining = max(0.0, policy.deadline.remaining())
-                wait_timeout = (
-                    remaining if wait_timeout is None else min(wait_timeout, remaining)
-                )
-        done, _ = wait(set(pending), timeout=wait_timeout, return_when=FIRST_COMPLETED)
-        return done
+        if policy is not None and policy.cancel is not None:
+            caps.append(0.05)
+        if policy is not None and policy.deadline is not None:
+            caps.append(policy.deadline.remaining())
+        return max(0.0, min(caps)) if caps else None
 
+    def _receive(self, slot: _Slot, results: list[Outcome | None], stats: JoinStats) -> None:
+        """Read the reply to the slot's current task and act on it."""
+        task = slot.tasks[0]
+        try:
+            status, payload = slot.conn.recv()
+        except EOFError:
+            # Reap before stop(): terminating a child that is already
+            # exiting would overwrite its exit code.
+            slot.proc.join()
+            stats.extras["pool_restarts"] += 1
+            tracer = current_tracer()
+            if tracer.enabled:
+                tracer.count("pool_restarts")
+            status, payload = "error", WorkerError(
+                f"worker slot {slot.number} (pid {slot.proc.pid}) exited with code "
+                f"{slot.proc.exitcode} while {self.verb} {self.noun} {task.label}"
+            )
+        if status == "ok":
+            r_ids, s_ids, task_stats = payload
+            pairs = list(zip(r_ids, s_ids))
+            try:
+                self.check(task, pairs, stats)
+            except WorkerError as corrupt:
+                payload = corrupt
+            else:
+                self.record(task, task_stats)
+                results[task.position] = (pairs, task_stats)
+                slot.tasks.pop(0)
+                if slot.tasks:
+                    self._begin(slot.tasks[0])
+                return
+        elif isinstance(payload, GovernanceError):
+            # A child hit the deadline/cancel bound: terminal, never
+            # retried, never completed via fallback.
+            raise payload
+        # The task failed and its child goes with it; a fresh child takes
+        # over whatever the slot still owes.
+        slot.stop()
+        self._retry(slot.tasks.pop(0), slot.tasks, results, stats, payload)
+        if slot.tasks:
+            self._start(slot)
+
+    def _expire(self, slot: _Slot, results: list[Outcome | None], stats: JoinStats) -> None:
+        """Abandon the slot's overdue task with its child; finish it in the parent."""
+        task = slot.tasks.pop(0)
+        slot.stop()
+        stats.extras["timeouts"] += 1
+        current_tracer().record("timeout", 0.0, {"timeouts": 1})
+        if not self.fallback:
+            raise JoinTimeoutError(
+                f"{self.noun} {task.label} exceeded its {self.timeout_seconds}s budget "
+                f"on attempt {task.attempts} and fallback is disabled"
+            )
+        results[task.position] = self._fallback(task, stats)
+        if slot.tasks:
+            self._start(slot)
+
+    # ------------------------------------------------------------------
+    # Last resorts
+    # ------------------------------------------------------------------
     def _backoff(self, task: Task, stats: JoinStats) -> None:
         """Count one retry of ``task`` and sleep its scheduled delay."""
         stats.extras["retries"] += 1
@@ -363,83 +493,15 @@ class Supervisor:
         current_tracer().record("retry", delay, {"retries": 1})
         time.sleep(delay)
 
-    def _retry(
-        self,
-        pool: ProcessPoolExecutor,
-        task: Task,
-        pending: dict[Future[Outcome], Task],
-        results: list[Outcome | None],
-        stats: JoinStats,
-        error: Exception,
-    ) -> None:
-        """Resubmit a failed task after its backoff, or finish it as exhausted."""
-        if task.attempts < self.retry_policy.max_attempts:
-            self._backoff(task, stats)
-            self._submit(pool, task, pending)
-        else:
-            results[task.position] = self._exhausted(task, stats, error)
-
-    def _restart_pool(
-        self,
-        pool: ProcessPoolExecutor,
-        pending: dict[Future[Outcome], Task],
-        results: list[Outcome | None],
-        stats: JoinStats,
-    ) -> ProcessPoolExecutor:
-        """Replace a broken pool and resubmit every in-flight task."""
-        stats.extras["pool_restarts"] += 1
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.count("pool_restarts")
-        stranded = list(pending.values())
-        pending.clear()
-        _shutdown(pool, force=True)
-        pool = self.new_pool()
-        for task in stranded:
-            died = WorkerError(f"worker died while {self.verb} {self.noun} {task.label}")
-            self._retry(pool, task, pending, results, stats, died)
-        return pool
-
-    def _expire_overdue(
-        self,
-        pending: dict[Future[Outcome], Task],
-        results: list[Outcome | None],
-        stats: JoinStats,
-    ) -> bool:
-        """Abandon tasks past their deadline; complete them in the parent.
-
-        The worker serving an overdue task may be hung, and
-        :class:`~concurrent.futures.ProcessPoolExecutor` cannot cancel a
-        *running* task.  The future is dropped, never cancelled: its
-        eventual result, if any, is discarded, and :func:`_shutdown`
-        terminates its worker.  Returns True when anything was abandoned.
-        """
-        if self.timeout_seconds is None:
-            return False
-        now = monotonic()
-        overdue = [
-            future
-            for future, task in pending.items()
-            if not future.done() and task.deadline is not None and task.deadline <= now
-        ]
-        for future in overdue:
-            task = pending.pop(future)
-            stats.extras["timeouts"] += 1
-            current_tracer().record("timeout", 0.0, {"timeouts": 1})
-            if not self.fallback:
-                raise JoinTimeoutError(
-                    f"{self.noun} {task.label} exceeded its {self.timeout_seconds}s budget "
-                    f"on attempt {task.attempts} and fallback is disabled"
-                )
-            results[task.position] = self._fallback(task, stats)
-        return bool(overdue)
-
-    # ------------------------------------------------------------------
-    # Last resorts
-    # ------------------------------------------------------------------
     def _exhausted(self, task: Task, stats: JoinStats, last_error: Exception) -> Outcome:
-        """Retries used up: fall back in the parent or raise."""
+        """Retries used up: fall back in the parent or raise.
+
+        With a single attempt and no fallback (the fail-fast
+        configuration) the task's own error is raised as is.
+        """
         if not self.fallback:
+            if self.retry_policy.max_attempts == 1:
+                raise last_error
             raise RetryExhaustedError(
                 f"{self.noun} {task.label} failed all {task.attempts} attempts: {last_error}",
                 attempts=task.attempts,
@@ -457,19 +519,3 @@ class Supervisor:
         stats.extras[key] += 1
         current_tracer().record("fallback", 0.0, {key: 1})
         return self.last_resort(task)
-
-
-def _shutdown(pool: ProcessPoolExecutor, force: bool) -> None:
-    """Shut ``pool`` down; with ``force``, terminate its workers first.
-
-    Futures are never cancelled here or anywhere in the supervisor.  On
-    Python 3.11 the pool's manager thread marks every pending future
-    failed once its workers die, and a future that was already cancelled
-    makes that thread die with ``InvalidStateError``.  Terminated workers
-    instead let the manager thread fail what is left and exit, which
-    ``wait=True`` then joins.
-    """
-    if force:
-        for proc in list((getattr(pool, "_processes", None) or {}).values()):
-            proc.terminate()
-    pool.shutdown(wait=True)

@@ -96,7 +96,7 @@ class GovernancePolicy:
         )
 
     def worker_policy(self) -> "GovernancePolicy":
-        """The copy shipped to pool workers.
+        """The copy shipped to worker children.
 
         The deadline and token travel as-is (both pickle; the token's
         flag file makes parent-side cancels visible).  A custom sampler
@@ -108,9 +108,9 @@ class GovernancePolicy:
         return replace(self, memory_sampler=None)
 
 
-# Thread-local ambient policy, mirroring the tracer's storage.  Pool
-# workers are processes whose initializers install their own copy in the
-# worker's main thread; the join server's request threads each install a
+# Thread-local ambient policy, mirroring the tracer's storage.  Worker
+# children install the copy they are started with in their main thread;
+# the join server's request threads each install a
 # per-request policy (deadline/budget from the request) without
 # clobbering the policies of concurrently-running requests.
 _STATE = threading.local()

@@ -1,6 +1,6 @@
 """Deterministic fault injection for the parallel-join executors.
 
-The resilient executor's recovery paths (retry, pool restart, timeout
+The resilient executor's recovery paths (retry, slot restart, timeout
 fallback, corrupt-result rejection) all involve *worker processes*, so
 plain ``monkeypatch``-style injection cannot reach them — the fault has
 to travel with the prepared index into the worker.  This module provides
@@ -11,9 +11,9 @@ on command:
   :class:`~repro.errors.InjectedFaultError` from ``probe_many``
   (a recoverable worker exception);
 * :class:`DyingIndex` — kills its process with ``os._exit`` (hard worker
-  death, surfaces as ``BrokenProcessPool`` in a pool's parent and as a
-  :class:`~repro.errors.WorkerError` naming the exit code in
-  :class:`~repro.exec.parallel.ParallelJoin`);
+  death: EOF on the slot's pipe, which the supervisor reports as a
+  :class:`~repro.errors.WorkerError` naming the exit code and recovers
+  by restarting that slot's child);
 * :class:`SleepingIndex` — sleeps through the probe (simulates a hang,
   triggers the timeout path);
 * :class:`CorruptingIndex` — returns pairs referencing tuples that were
@@ -185,10 +185,9 @@ class DyingIndex(FaultyIndex):
     """Kill the probing process outright while armed.
 
     ``os._exit`` skips all cleanup, exactly like a segfault or an OOM
-    kill; a pool worker dying this way breaks the whole
-    :class:`~concurrent.futures.ProcessPoolExecutor`.  Never fires in
-    the parent process (``parent_pid``), so the in-process fallback and
-    ``workers=1`` runs survive it.
+    kill; the supervisor sees EOF on the dead child's pipe.  Never fires in
+    the parent process (``parent_pid``), so the parent's own slot, its
+    in-process fallback and ``workers=1`` runs survive it.
 
     Args:
         parent_pid: The process that must survive; defaults to the

@@ -201,6 +201,16 @@ class TestJoinExecutors:
         assert main(["join", str(r), str(s), "--workers", "2", "--explain"]) == 0
         assert "executor = parallel" in capsys.readouterr().out
 
+    def test_explain_next_to_a_pinned_executor_is_refused(self, files, capsys):
+        r, s = files
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["join", str(r), str(s), "--executor", "resilient",
+                  "--workers", "2", "--explain"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--explain" in err and "--executor" in err
+
 
 class TestEndToEndPipeline:
     def test_generate_join_validate_pipeline(self, tmp_path):

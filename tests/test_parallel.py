@@ -36,7 +36,8 @@ from repro.core.base import JoinStats
 from repro.datagen.realworld import make_surrogate
 from repro.errors import AlgorithmError, InjectedFaultError, WorkerError
 from repro.exec.merge import merge_stats
-from repro.exec.parallel import ParallelJoin, _columns, parallel_join
+from repro.exec.parallel import ParallelJoin, parallel_join
+from repro.exec.supervisor import _columns
 from repro.relations.relation import Relation, SetRecord
 from repro.testing.faults import CrashingIndex, DyingIndex, FaultTrigger
 from tests.conftest import oracle_pairs, random_relation

@@ -1,7 +1,7 @@
 """Fault-injection tests for the resilient parallel join.
 
-Every recovery path of :class:`ResilientParallelJoin` — retry, pool
-re-creation after hard worker death, per-chunk timeout with in-process
+Every recovery path of :class:`ResilientParallelJoin` — retry, a fresh
+child for the slot after hard worker death, per-chunk timeout with in-process
 fallback, corrupt-result rejection — is exercised deterministically via
 the :mod:`repro.testing.faults` wrappers.  Faults travel with the
 prepared index into the workers; their triggers are flag files, so they
@@ -9,13 +9,15 @@ fire an exact number of times across any mix of processes.
 
 No test sleeps longer than 2 s and none asserts on wall-clock timings.
 
-Set ``REPRO_START_METHOD=fork|spawn`` to pin the pool start method (CI
+Set ``REPRO_START_METHOD=fork|spawn`` to pin the children's start method (CI
 runs the suite once per method).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -43,8 +45,7 @@ from repro.testing.faults import (
 )
 from tests.conftest import oracle_pairs, random_relation
 
-#: A pool manager thread that dies (e.g. on a future cancelled under it)
-#: fails the drill instead of passing with a warning.
+#: A thread that dies mid-drill fails it instead of passing with a warning.
 pytestmark = pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
 
 #: Optional start-method override so CI can drill both fork and spawn.
@@ -189,7 +190,7 @@ class TestCrashRecovery:
 
 
 class TestWorkerDeath:
-    """A worker dying hard breaks the pool; the pool is re-created."""
+    """A worker dying hard is replaced by a fresh child for its slot."""
 
     def test_dead_worker_restarts_pool(self, rs_pair, sequential_pairs, tmp_path):
         r, s = rs_pair
@@ -202,6 +203,20 @@ class TestWorkerDeath:
         assert result.stats.extras["pool_restarts"] >= 1
         assert result.stats.extras["retries"] >= 1
 
+    def test_death_restarts_only_its_own_slot(self, rs_pair, sequential_pairs, tmp_path):
+        # Two child slots; one child dies once.  Only its chunk is retried:
+        # the sibling slot's chunks are neither resubmitted nor counted.
+        r, s = rs_pair
+        trigger = FaultTrigger(tmp_path, times=1)
+        result = make_join(
+            workers=3, chunks=6,
+            index_transform=lambda idx: DyingIndex(idx, trigger),
+        ).join(r, s)
+        assert result.pairs == sequential_pairs
+        assert result.stats.extras["pool_restarts"] == 1
+        assert result.stats.extras["retries"] == 1
+        assert multiprocessing.active_children() == []
+
     def test_dying_index_never_kills_the_parent(self, rs_pair, tmp_path):
         r, s = rs_pair
         trigger = FaultTrigger(tmp_path, times=100)
@@ -212,6 +227,18 @@ class TestWorkerDeath:
         ).join(r, s)
         assert result.pair_set() == oracle_pairs(r, s)
         assert trigger.fired() == 0
+
+
+def test_parent_starts_no_threads(rs_pair, sequential_pairs, monkeypatch):
+    r, s = rs_pair
+
+    def refuse(self):
+        raise AssertionError(f"ResilientParallelJoin started thread {self.name!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    result = make_join(workers=2, chunks=4).join(r, s)
+    assert result.pairs == sequential_pairs
+    assert multiprocessing.active_children() == []
 
 
 class TestTimeouts:

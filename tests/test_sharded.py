@@ -6,13 +6,13 @@ method, the sorted pair list must equal the
 sequential join's, and the merged counters must be reproducible.  The
 tests here check that claim differentially (against
 :func:`tests.conftest.oracle_pairs` and the inline executor), then drive
-the resilience ladder — retry, pool restart after hard worker death,
+the resilience ladder — retry, slot restart after hard worker death,
 exhaustion fallback, corrupt-shard rejection — with deterministic faults
 from :mod:`repro.testing.faults`, asserting both correctness of the
 recovered output *and* the degradation counters that make the recovery
 observable.
 
-Set ``REPRO_START_METHOD=fork|spawn`` to pin the pool start method (CI
+Set ``REPRO_START_METHOD=fork|spawn`` to pin the children's start method (CI
 runs this module once per method); one test also compares fork against
 spawn directly, since shard placement and routing are pure functions of
 record elements and must not depend on how workers are born.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -46,8 +47,7 @@ from repro.testing.faults import (
 )
 from tests.conftest import oracle_pairs, random_relation
 
-#: A pool manager thread that dies (e.g. on a future cancelled under it)
-#: fails the drill instead of passing with a warning.
+#: A thread that dies mid-drill fails it instead of passing with a warning.
 pytestmark = pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
 
 #: Optional start-method override so CI can drill both fork and spawn.
@@ -246,6 +246,19 @@ class TestShardLoss:
         assert result.stats.extras["pool_restarts"] >= 1
         assert result.stats.extras["retries"] >= 1
 
+    def test_death_restarts_only_its_own_slot(self, rs_pair, expected, tmp_path):
+        # Two child slots; one child dies once.  Only its shard is retried:
+        # the sibling slot's shards are neither resubmitted nor counted.
+        r, s = rs_pair
+        fault = IndexFault(DyingIndex, FaultTrigger(tmp_path, times=1))
+        join = make_join(workers=3, shards=6, index_transform=fault)
+        assert len(join._supervisor(r, s, JoinStats()).tasks) == 6
+        result = join.join(r, s)
+        assert sorted(result.pairs) == sorted(expected)
+        assert result.stats.extras["pool_restarts"] == 1
+        assert result.stats.extras["retries"] == 1
+        assert multiprocessing.active_children() == []
+
     def test_index_fault_spares_the_parent(self, rs_pair, expected, tmp_path):
         # Exhaust retries with a persistent killer: every pooled attempt
         # dies, and the parent's in-process fallback must survive because
@@ -315,6 +328,18 @@ class TestShardLoss:
         ).join(r, s)
         assert sorted(result.pairs) == sorted(expected)
         assert result.stats.extras["retries"] == 1
+
+
+def test_parent_starts_no_threads(rs_pair, expected, monkeypatch):
+    r, s = rs_pair
+
+    def refuse(self):
+        raise AssertionError(f"ShardedJoin started thread {self.name!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    result = make_join(workers=2, shards=2).join(r, s)
+    assert sorted(result.pairs) == sorted(expected)
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
