@@ -119,8 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_workload(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument("--workers", type=int, default=1,
                          help="worker processes available to the planner; "
-                              "above 1 it considers the partition-parallel "
-                              "executors")
+                              "above 1 it allows a worker pool but does not "
+                              "force one: the join stays inline unless the "
+                              "pool's charged estimate beats inline's "
+                              "(--executor parallel pins the pool)")
         cmd.add_argument("--memory-budget", type=int, default=None,
                          metavar="TUPLES",
                          help="largest relation slice that fits in memory; "

@@ -264,10 +264,12 @@ class PreparedIndex(ABC):
         """
         stats = self._new_probe_stats()
         tracer = current_tracer()
-        with tracer.span("probe"):
+        span = tracer.span("probe")
+        with span:
             start = perf_counter()
             pairs = self._probe_all(r, stats)
             stats.probe_seconds = perf_counter() - start
+            span.measured(stats.probe_seconds)
             if tracer.enabled:
                 tracer.count("probe_batches")
                 tracer.count("probe_records", len(r))
@@ -431,7 +433,8 @@ class SetContainmentJoin(ABC):
                 parameterisation.
         """
         tracer = current_tracer()
-        with tracer.span("build"), traced_build(current_policy()):
+        span = tracer.span("build")
+        with span, traced_build(current_policy()):
             # Boundary governor: its memory base is sampled *before* the
             # build, and the poll after `_prepare` returns checks every
             # bound once at the build boundary — so a build smaller than
@@ -446,6 +449,7 @@ class SetContainmentJoin(ABC):
             # into each batch's stats and excluded from accumulation).
             index.build_extras.setdefault("kernel_backend", active_backend_name())
             index.build_seconds = perf_counter() - start
+            span.measured(index.build_seconds)
             if tracer.enabled:
                 tracer.count("index_builds")
                 tracer.count("indexed_records", len(s))

@@ -25,7 +25,8 @@ alive and reaped, and a fresh child takes over the slot's unfinished
 tasks; sibling slots are untouched.  The failed task is retried after the
 rest of its slot, up to :attr:`RetryPolicy.max_attempts` times with
 deterministic backoff.  An overdue task (its clock starts when its child
-starts it) and a task whose retries are exhausted are completed by the
+reports that it has begun, or when the child's previous reply arrives)
+and a task whose retries are exhausted are completed by the
 parent's last resort on known-good state — or, without ``fallback``,
 raise :class:`~repro.errors.JoinTimeoutError` /
 :class:`~repro.errors.RetryExhaustedError`, and with a single attempt
@@ -100,6 +101,8 @@ def _serve_slot(calls: list[Work], policy: GovernancePolicy | None, conn: Any) -
     """
     set_tracer(NullTracer())
     set_policy(policy)
+    # Start-up is over: the parent starts the first task's clock on this.
+    conn.send(("begun", None))
     for call in calls:
         try:
             pairs, stats = call()
@@ -303,6 +306,15 @@ class Supervisor:
                     elif _overdue(slot.tasks[0]):
                         self._expire(slot, results, stats)
                 busy = [slot for slot in busy if slot.tasks]
+            # Fold before the finally reaps, so the children exit while
+            # the parent merges.
+            pairs: list[tuple[int, int]] = []
+            for outcome in results:
+                assert outcome is not None
+                task_pairs, task_stats = outcome
+                pairs.extend(task_pairs)
+                merge_stats(stats, task_stats)
+            return JoinResult(pairs, stats)
         except GovernanceError:
             # Record how many tasks the abort stranded before the finally
             # block terminates their children.  tracer.record survives the
@@ -317,13 +329,6 @@ class Supervisor:
         finally:
             for slot in children:
                 slot.stop()
-        pairs: list[tuple[int, int]] = []
-        for outcome in results:
-            assert outcome is not None
-            task_pairs, task_stats = outcome
-            pairs.extend(task_pairs)
-            merge_stats(stats, task_stats)
-        return JoinResult(pairs, stats)
 
     def check(self, task: Task, pairs: Iterable[tuple[int, int]], stats: JoinStats) -> None:
         """Reject output referencing tuples the task never held."""
@@ -399,26 +404,34 @@ class Supervisor:
             # Only the child may hold the send end: once it dies, the
             # parent's recv() then sees EOF instead of blocking forever.
             send_conn.close()
-        self._begin(slot.tasks[0])
+        # The first task's clock waits for the child's "begun" message:
+        # start-up (a spawn child's imports and unpickling) is not the
+        # task's time.  Until then only the governance deadline bounds it.
+        slot.tasks[0].attempts += 1
+        slot.tasks[0].deadline = None
 
     def _begin(self, task: Task) -> None:
         """Count one child attempt at ``task`` and start its timeout clock."""
         task.attempts += 1
+        self._start_clock(task)
+
+    def _start_clock(self, task: Task) -> None:
+        """Start ``task``'s timeout clock, if it has one."""
         if self.timeout_seconds is not None:
             task.deadline = monotonic() + self.timeout_seconds
 
     def _wait_timeout(self, busy: list[_Slot]) -> float | None:
         """How long the parent may block before a bound needs it.
 
-        The nearest task deadline caps the wait, and the governance
+        The nearest running task deadline caps the wait, and the governance
         policy caps it further so the blocked parent wakes to poll: at
         the join deadline's remaining time, and at 50ms whenever a cancel
         token is armed (a token has no absolute instant to sleep until).
         """
         caps: list[float] = []
-        if self.timeout_seconds is not None:
-            nearest = min(slot.tasks[0].deadline or 0.0 for slot in busy)
-            caps.append(nearest - monotonic())
+        deadlines = [slot.tasks[0].deadline for slot in busy if slot.tasks[0].deadline is not None]
+        if deadlines:
+            caps.append(min(deadlines) - monotonic())
         policy = current_policy()
         if policy is not None and policy.cancel is not None:
             caps.append(0.05)
@@ -443,6 +456,9 @@ class Supervisor:
                 f"worker slot {slot.number} (pid {slot.proc.pid}) exited with code "
                 f"{slot.proc.exitcode} while {self.verb} {self.noun} {task.label}"
             )
+        if status == "begun":
+            self._start_clock(task)
+            return
         if status == "ok":
             r_ids, s_ids, task_stats = payload
             pairs = list(zip(r_ids, s_ids))

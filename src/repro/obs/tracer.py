@@ -142,9 +142,14 @@ class Span:
 
 
 class _SpanHandle:
-    """Context manager for one entry into a (merged) span."""
+    """Context manager for one entry into a (merged) span.
 
-    __slots__ = ("_tracer", "_span", "_start", "_mem_start", "_profiled")
+    The entry times itself unless the code inside hands it the interval
+    it measured with :meth:`measured`; then the span and that code's own
+    figure (a ``JoinStats`` timer, say) are the same number.
+    """
+
+    __slots__ = ("_tracer", "_span", "_start", "_mem_start", "_profiled", "_seconds")
 
     def __init__(self, tracer: "Tracer", span: Span) -> None:
         self._tracer = tracer
@@ -152,6 +157,11 @@ class _SpanHandle:
         self._start = 0.0
         self._mem_start = 0
         self._profiled = False
+        self._seconds: float | None = None
+
+    def measured(self, seconds: float) -> None:
+        """Charge this entry ``seconds`` instead of its own timing."""
+        self._seconds = seconds
 
     def __enter__(self) -> Span:
         tracer = self._tracer
@@ -165,6 +175,8 @@ class _SpanHandle:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         elapsed = time.perf_counter() - self._start
+        if self._seconds is not None:
+            elapsed = self._seconds
         tracer = self._tracer
         span = self._span
         if tracer.profiler is not None and self._profiled:
@@ -306,6 +318,9 @@ class _NullSpanHandle:
     """Shared no-op context manager returned by :meth:`NullTracer.span`."""
 
     __slots__ = ()
+
+    def measured(self, seconds: float) -> None:
+        return None
 
     def __enter__(self):
         return None

@@ -21,7 +21,10 @@ emits an immutable :class:`~repro.planner.plan.Plan` with four decisions:
 3. **executor** — in-process, partition-parallel (fail-fast or
    resilient), shard-partitioned scale-out, or the Sec. III-E4
    disk-partitioned nested loop, driven by the memory budget, worker and
-   shard hints (see ``docs/EXECUTORS.md``).
+   shard hints (see ``docs/EXECUTORS.md``).  A worker hint allows the
+   fail-fast pool and does not force it: the pool's estimate is charged
+   per child and per expected result pair home, and the join stays
+   inline unless that estimate is below inline's.
 4. **chunking** — how the work is split for the chosen executor (probe
    chunks, S-shards, or disk partitions).
 
@@ -37,7 +40,7 @@ import math
 from repro.kernels import active_backend_name, available_backends, backend_source
 from repro.obs.tracer import current_tracer
 from repro.planner.plan import Alternative, CostEstimate, Decision, Plan, Workload
-from repro.planner.profiles import COST_PROFILES, CostProfile
+from repro.planner.profiles import COST_PROFILES, CostProfile, expected_pairs
 from repro.relations.stats import RelationStats
 from repro.signatures.length import SignatureLengthStrategy
 
@@ -492,30 +495,25 @@ class Planner:
                 {"max_tuples": budget},
             )
 
-        if workload.workers > 1:
-            executor = "resilient" if workload.fault_tolerance else "parallel"
-            why_not_other = (
-                ("parallel", "fail-fast pool rejected: the workload asks for "
-                             "fault tolerance (retry/timeout/fallback)")
-                if workload.fault_tolerance
-                else ("resilient", "no fault-tolerance requested; fail-fast "
-                                   "pool has less bookkeeping")
-            )
+        if workload.workers > 1 and workload.fault_tolerance:
             return (
                 Decision(
                     name="executor",
-                    choice=executor,
-                    reason=f"{workload.workers} workers hinted: one shared "
-                           "index build, probe chunks fanned out "
-                           f"(~{workload.workers}x probe parallelism)",
+                    choice="resilient",
+                    reason=f"{workload.workers} workers hinted and fault tolerance "
+                           "asked for: one shared index build, probe chunks "
+                           "fanned out to isolated children, whatever the size",
                     cost=scaled,
                     rejected=(
                         Alternative(
                             "inline",
-                            "single-process probing leaves hinted workers idle",
+                            "an in-process probe cannot be retried, timed out "
+                            "or isolated",
                             cost=algo_cost,
                         ),
-                        Alternative(why_not_other[0], why_not_other[1], cost=scaled),
+                        Alternative("parallel", "fail-fast pool rejected: the "
+                                                "workload asks for fault tolerance "
+                                                "(retry/timeout/fallback)", cost=scaled),
                         Alternative(
                             "sharded",
                             "S fits in one process: one shared index build "
@@ -526,9 +524,12 @@ class Planner:
                     ),
                     detail=(("workers", workload.workers),),
                 ),
-                executor,
+                "resilient",
                 {"workers": workload.workers},
             )
+
+        if workload.workers > 1:
+            return self._decide_pool(r, s, workload, algo_cost, profile, bits, sharded_cost)
 
         return (
             Decision(
@@ -546,6 +547,125 @@ class Planner:
                                 if budget is None else
                                 f"relations fit the {budget}-tuple budget"),
                 ),
+            ),
+            "inline",
+            {},
+        )
+
+    def _decide_pool(
+        self,
+        r: RelationStats,
+        s: RelationStats,
+        workload: Workload,
+        algo_cost: CostEstimate | None,
+        profile: CostProfile | None,
+        bits: int,
+        sharded_cost: CostEstimate | None,
+    ) -> tuple[Decision, str, dict]:
+        """Pool or inline for a plain ``workers > 1`` one-shot join.
+
+        The pool's estimate carries its charges (per child, per expected
+        pair home; :meth:`CostProfile.estimate_parallel`), and the join
+        stays inline unless that estimate is below inline's.
+        """
+        workers = workload.workers
+        children = workers - 1
+        others = (
+            Alternative(
+                "sharded",
+                "S fits in one process: one shared index build beats "
+                "per-shard rebuilds",
+                cost=sharded_cost,
+            ),
+            Alternative("disk", "relations fit in memory"),
+        )
+        if algo_cost is None or profile is None:
+            # No model to charge: the hint alone decides, as it always did.
+            return (
+                Decision(
+                    name="executor",
+                    choice="parallel",
+                    reason=f"{workers} workers hinted and no cost model to "
+                           "charge the pool against: probe chunks fanned out",
+                    rejected=(
+                        Alternative("inline", "single-process probing leaves "
+                                              "hinted workers idle"),
+                        *others,
+                    ),
+                    detail=(("workers", workers),),
+                ),
+                "parallel",
+                {"workers": workers},
+            )
+        pairs = expected_pairs(r, s)
+        pool_cost = profile.estimate_parallel(r, s, bits, workers, pairs)
+        detail = (
+            ("workers", workers),
+            ("inline_estimate", round(algo_cost.total, 1)),
+            ("pool_estimate", round(pool_cost.total, 1)),
+            ("pool_child_units", profile.pool_child_units),
+            ("pool_pair_units", profile.pool_pair_units),
+            ("expected_pairs", round(pairs, 1)),
+        )
+        charges = (
+            f"{children} child(ren) at {profile.pool_child_units:.3g} and "
+            f"~{pairs * children / workers:.3g} pair(s) home at "
+            f"{profile.pool_pair_units:.3g}"
+        )
+        if pool_cost.total < algo_cost.total:
+            return (
+                Decision(
+                    name="executor",
+                    choice="parallel",
+                    reason=f"{workers} workers hinted and the pool's charged "
+                           f"estimate {pool_cost.total:.3g} is below inline's "
+                           f"{algo_cost.total:.3g}: one shared index build, "
+                           f"probe chunks fanned out ({charges})",
+                    cost=pool_cost,
+                    rejected=(
+                        Alternative(
+                            "inline",
+                            "the probe split saves more than the pool's "
+                            "charges cost",
+                            cost=algo_cost,
+                        ),
+                        Alternative(
+                            "resilient",
+                            "no fault-tolerance requested; fail-fast pool has "
+                            "less bookkeeping",
+                            cost=pool_cost,
+                        ),
+                        *others,
+                    ),
+                    detail=detail,
+                ),
+                "parallel",
+                {"workers": workers},
+            )
+        return (
+            Decision(
+                name="executor",
+                choice="inline",
+                reason=f"{workers} workers hinted, but the pool's charged "
+                       f"estimate {pool_cost.total:.3g} is not below inline's "
+                       f"{algo_cost.total:.3g}: {charges} cost more than the "
+                       "probe split saves",
+                cost=algo_cost,
+                rejected=(
+                    Alternative(
+                        "parallel",
+                        "the pool's charges outweigh its probe split; "
+                        "ParallelJoin or --executor parallel pins it",
+                        cost=pool_cost,
+                    ),
+                    Alternative(
+                        "resilient",
+                        "no fault-tolerance requested",
+                        cost=pool_cost,
+                    ),
+                    *others,
+                ),
+                detail=detail,
             ),
             "inline",
             {},

@@ -33,6 +33,7 @@ output rather than silently resolved.  See ``docs/PLANNER.md``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,6 +50,7 @@ __all__ = [
     "COST_PROFILES",
     "cost_profile",
     "estimate_cost",
+    "expected_pairs",
 ]
 
 #: Exponent cap: beyond this the estimate is "infeasible", kept finite so
@@ -57,6 +59,75 @@ _MAX_COST = 1e30
 
 def _clamp(value: float) -> float:
     return min(value, _MAX_COST)
+
+
+#: Bins per relation in :func:`expected_pairs`, besides the two atoms at
+#: the clipped ends; they split at most ±4 standard deviations evenly.
+_CARDINALITY_BINS = 12
+_BIN_SPAN = 4.0
+
+
+def _normal_cdf(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def _cardinality_mix(stats: RelationStats) -> list[tuple[int, float]]:
+    """``(cardinality, probability)`` points of a relation's size distribution.
+
+    A log-normal fitted to the mean and standard deviation, clipped to
+    ``[min, max]``: the mass beyond each end sits on it as an atom (a
+    relation whose largest sets cover its whole domain keeps that tail),
+    and the body between is split into equal-width bins in log space.
+    """
+    mean = max(stats.avg_cardinality, 1.0)
+    lo_card = max(stats.min_cardinality, 0)
+    hi_card = max(stats.max_cardinality, lo_card)
+    var = math.log1p((stats.cardinality_stddev / mean) ** 2)
+    if var <= 0.0 or lo_card == hi_card:
+        return [(min(max(round(mean), lo_card), hi_card), 1.0)]
+    sigma = math.sqrt(var)
+    mu = math.log(mean) - var / 2
+    lo_z = (math.log(max(lo_card, 0.5)) - mu) / sigma
+    hi_z = (math.log(hi_card) - mu) / sigma
+    points = [(lo_card, _normal_cdf(lo_z)), (hi_card, 1.0 - _normal_cdf(hi_z))]
+    first, last = max(lo_z, -_BIN_SPAN), min(hi_z, _BIN_SPAN)
+    width = (last - first) / _CARDINALITY_BINS
+    for i in range(_CARDINALITY_BINS):
+        left = first + i * width
+        card = round(math.exp(mu + sigma * (left + width / 2)))
+        weight = _normal_cdf(left + width) - _normal_cdf(left)
+        points.append((min(max(card, lo_card), hi_card), weight))
+    return points
+
+
+def expected_pairs(r: RelationStats, s: RelationStats) -> float:
+    """Expected output size ``|R ⋈⊇ S|`` under independent uniform elements.
+
+    A probe set of ``a`` elements contains a data set of ``b`` elements
+    drawn from the same ``d``-element domain with probability
+    ``a!(d-b)! / ((a-b)! d!)``; that is averaged over both relations'
+    cardinality distributions (:func:`_cardinality_mix`).  Element skew
+    makes real outputs larger: on the Fig. 8 twitter surrogate the
+    estimate is 0.4x the measured output, on flickr 0.1x.  The pool
+    charges (:meth:`CostProfile.estimate_parallel`) are fitted with that
+    bias in place.
+    """
+    if r.size == 0 or s.size == 0:
+        return 0.0
+    domain = max(r.domain_cardinality, s.domain_cardinality, 1)
+    lgamma = math.lgamma
+    share = 0.0
+    probes = _cardinality_mix(r)
+    for b, weight_b in _cardinality_mix(s):
+        if b > domain:
+            continue
+        base = lgamma(domain - b + 1) - lgamma(domain + 1)
+        for a, weight_a in probes:
+            if a >= b:
+                share += weight_a * weight_b * math.exp(
+                    lgamma(a + 1) - lgamma(a - b + 1) + base
+                )
+    return r.size * s.size * min(share, 1.0)
 
 
 def _sizes(r: RelationStats, s: RelationStats) -> tuple[int, int, float, float]:
@@ -143,6 +214,16 @@ class CostProfile:
         reject_reason: Stock justification when not auto-eligible.
         uses_signature: Whether the ``bits`` parameter is meaningful.
         estimator: ``(r_stats, s_stats, bits) -> CostEstimate``.
+        pool_child_units: What one worker child costs the pool (fork,
+            copy-on-write faults, reply, reap, and the share of the probe
+            that does not split), in this profile's model units.
+        pool_pair_units: What one expected result pair costs on its way
+            home from a child, in this profile's model units.
+
+    The two pool charges are fitted to the measured rows in
+    ``benchmarks/pool_grid.json`` (``python -m benchmarks.pool_grid
+    fit``); profiles without grid rows charge nothing, so the planner
+    pools them whenever workers are hinted.
     """
 
     name: str
@@ -150,10 +231,35 @@ class CostProfile:
     reject_reason: str
     uses_signature: bool
     estimator: Callable[[RelationStats, RelationStats, int], CostEstimate]
+    pool_child_units: float = 0.0
+    pool_pair_units: float = 0.0
 
     def estimate(self, r: RelationStats, s: RelationStats, bits: int) -> CostEstimate:
         """Evaluate this algorithm's model at one configuration."""
         return self.estimator(r, s, bits)
+
+    def estimate_parallel(
+        self, r: RelationStats, s: RelationStats, bits: int, workers: int, pairs: float
+    ) -> CostEstimate:
+        """Cost this algorithm run by the partition-parallel pool.
+
+        One build in the parent; the probe splits ``workers`` ways.  The
+        pool then pays :attr:`pool_child_units` for each of its
+        ``workers - 1`` children and :attr:`pool_pair_units` for each
+        result pair the children send home: their ``(workers - 1) /
+        workers`` share of the ``pairs`` expected in all (see
+        :func:`expected_pairs`).
+        """
+        base = self.estimate(r, s, bits)
+        children = workers - 1
+        return CostEstimate(
+            build=base.build,
+            probe=_clamp(
+                base.probe / workers
+                + children * self.pool_child_units
+                + pairs * children / workers * self.pool_pair_units
+            ),
+        )
 
     def estimate_sharded(
         self,
@@ -197,13 +303,17 @@ class CostProfile:
         )
 
 
-#: One profile per registry algorithm (kept in sync by tests).
+#: One profile per registry algorithm (kept in sync by tests).  The pool
+#: charges of ptsj and pretti+ are ``python -m benchmarks.pool_grid fit``
+#: over ``benchmarks/pool_grid.json``; the other profiles have no grid rows.
 COST_PROFILES: dict[str, CostProfile] = {
     "ptsj": CostProfile(
         "ptsj", True, "", True, _ptsj,
+        pool_child_units=1.9e5, pool_pair_units=21.0,
     ),
     "pretti+": CostProfile(
         "pretti+", True, "", False, _pretti_plus,
+        pool_child_units=1.7e6, pool_pair_units=0.0,
     ),
     "pretti": CostProfile(
         "pretti", False,

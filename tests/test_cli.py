@@ -188,18 +188,34 @@ class TestJoinExecutors:
                      "--retries", "1", "-o", str(executor_out)]) == 0
         assert executor_out.read_bytes() == default_out.read_bytes()
 
-    def test_workers_without_executor_runs_the_planned_parallel_join(self, files, capsys):
-        r, s = files
+    def test_workers_without_executor_runs_the_planned_parallel_join(self, tmp_path, capsys):
+        # A twitter surrogate large enough that the probe split outweighs
+        # the pool's charges, so the planner pools it.
+        r, s = tmp_path / "r.txt", tmp_path / "s.txt"
+        for path, seed in ((r, "5"), (s, "6")):
+            main(["generate", "--dataset", "twitter", "--size", "2500",
+                  "--seed", seed, "-o", str(path)])
         capsys.readouterr()
         assert main(["join", str(r), str(s), "--algorithm", "ptsj",
                      "--workers", "2"]) == 0
         assert "parallel-ptsj" in capsys.readouterr().out
 
+    def test_workers_on_a_small_join_run_inline(self, files, capsys):
+        r, s = files
+        capsys.readouterr()
+        assert main(["join", str(r), str(s), "--algorithm", "ptsj",
+                     "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("ptsj:") and "parallel-" not in out
+
     def test_explain_prints_the_executor_decision(self, files, capsys):
         r, s = files
         capsys.readouterr()
         assert main(["join", str(r), str(s), "--workers", "2", "--explain"]) == 0
-        assert "executor = parallel" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        # The hint allows a pool; on 40 tuples its charges keep the join inline.
+        assert "executor = inline" in out
+        assert "inline_estimate" in out and "pool_estimate" in out
 
     def test_explain_next_to_a_pinned_executor_is_refused(self, files, capsys):
         r, s = files

@@ -15,6 +15,7 @@ failures reproduce locally byte-for-byte.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
@@ -219,18 +220,25 @@ def test_budgeted_plan_matches_oracle(r_sets, s_sets):
 
 
 def test_parallel_plan_matches_oracle():
-    """A workers hint routes through the pool; one real run per method."""
+    """A workers hint plans inline below the pool's break-even, a pinned
+    pool and the resilient executor run real children; one run each."""
     from .conftest import random_relation
 
     r = random_relation(60, 9, 40, seed=35)
     s = random_relation(60, 6, 40, seed=36)
-    for workload, executor in (
-        (Workload(workers=2), "parallel"),
-        (Workload(workers=2, fault_tolerance=True), "resilient"),
-    ):
-        query_plan = plan(r, s, algorithm="ptsj", workload=workload)
-        assert query_plan.executor == executor
-        assert set(execute_plan(query_plan, r, s).pairs) == oracle(r, s)
+    expected = oracle(r, s)
+    query_plan = plan(r, s, algorithm="ptsj", workload=Workload(workers=2))
+    assert query_plan.executor == "inline"
+    assert set(execute_plan(query_plan, r, s).pairs) == expected
+    pinned = replace(query_plan, executor="parallel",
+                     executor_options=(("workers", 2), ("chunks", 2)))
+    result = execute_plan(pinned, r, s)
+    assert result.stats.algorithm == "parallel-ptsj"
+    assert set(result.pairs) == expected
+    query_plan = plan(r, s, algorithm="ptsj",
+                      workload=Workload(workers=2, fault_tolerance=True))
+    assert query_plan.executor == "resilient"
+    assert set(execute_plan(query_plan, r, s).pairs) == expected
 
 
 @pytest.mark.parametrize("name", ALL_ALGORITHMS)

@@ -24,6 +24,7 @@ from repro.planner import (
     Planner,
     Workload,
 )
+from repro.planner.profiles import expected_pairs
 from repro.relations.relation import Relation
 from repro.relations.stats import RelationStats, compute_stats
 
@@ -91,7 +92,8 @@ class TestPlanSelection:
         assert p.executor == "inline"
 
     def test_workers_hint_plans_parallel(self):
-        p = Planner().plan(make_stats(1000), make_stats(1000), Workload(workers=4))
+        # Large enough that the probe split outweighs the pool's charges.
+        p = Planner().plan(make_stats(20000), make_stats(20000), Workload(workers=4))
         assert p.executor == "parallel"
         assert p.options() == {"workers": 4, "chunks": 4}
 
@@ -238,6 +240,118 @@ class TestExplain:
         """The model's cheapest pick is named even when the regime overrides."""
         p = Planner().plan(make_stats(100), make_stats(100))
         assert "model_cheapest" in p.decision("algorithm").detail_dict()
+
+
+# ----------------------------------------------------------------------
+# Pool break-even: the pool is charged its cost
+# ----------------------------------------------------------------------
+class TestPoolBreakEven:
+    def test_small_join_stays_inline_and_shows_the_charged_pool(self):
+        r, s = make_stats(1000), make_stats(1000)
+        p = Planner().plan(r, s, Workload(workers=4))
+        assert p.executor == "inline"
+        assert p.options() == {}
+        executor = p.decision("executor")
+        pool = next(alt for alt in executor.rejected if alt.choice == "parallel")
+        profile = COST_PROFILES[p.algorithm]
+        bits = Planner()._signature_bits(r, s, {})
+        assert pool.cost == profile.estimate_parallel(r, s, bits, 4, expected_pairs(r, s))
+        assert pool.cost.total >= executor.cost.total
+        detail = executor.detail_dict()
+        assert detail["pool_estimate"] >= detail["inline_estimate"]
+        text = p.explain()
+        assert "executor = inline" in text
+        assert "not below inline's" in text
+        assert "pool_estimate" in text and "inline_estimate" in text
+
+    def test_large_join_plans_the_pool(self):
+        p = Planner().plan(make_stats(20000), make_stats(20000), Workload(workers=4))
+        assert p.executor == "parallel"
+        assert p.options() == {"workers": 4, "chunks": 4}
+        executor = p.decision("executor")
+        assert executor.cost.total < executor.detail_dict()["inline_estimate"]
+        inline = next(alt for alt in executor.rejected if alt.choice == "inline")
+        assert inline.cost.total > executor.cost.total
+
+    @pytest.mark.parametrize("size", [10, 1000, 20000])
+    def test_fault_tolerance_plans_resilient_at_any_size(self, size):
+        workload = Workload(workers=2, fault_tolerance=True)
+        assert Planner().plan(make_stats(size), make_stats(size), workload).executor == "resilient"
+
+    @pytest.mark.parametrize("size", [10, 1000, 20000])
+    def test_shards_plan_sharded_at_any_size(self, size):
+        workload = Workload(workers=2, shards=2)
+        assert Planner().plan(make_stats(size), make_stats(size), workload).executor == "sharded"
+
+    @pytest.mark.parametrize("size", [10, 20000])
+    def test_probe_many_stays_inline(self, size):
+        workload = Workload(mode="probe_many", workers=4)
+        assert Planner().plan(None, make_stats(size), workload).executor == "inline"
+
+    def test_expected_pairs_charge_the_pool(self):
+        r, s = make_stats(1000), make_stats(1000)
+        profile = COST_PROFILES["ptsj"]
+        quiet = profile.estimate_parallel(r, s, 256, 2, 0.0)
+        loud = profile.estimate_parallel(r, s, 256, 2, 1e6)
+        assert loud.probe - quiet.probe == pytest.approx(0.5e6 * profile.pool_pair_units)
+        assert quiet.build == profile.estimate(r, s, 256).build
+
+    def test_unfitted_profiles_charge_nothing(self):
+        for name, profile in COST_PROFILES.items():
+            if name not in AUTO_CANDIDATES:
+                assert profile.pool_child_units == profile.pool_pair_units == 0.0
+
+    def test_expected_pairs_bounds(self):
+        empty = RelationStats(0, 0.0, 0.0, 0, 0, 0, 0, 0)
+        assert expected_pairs(empty, make_stats(10)) == 0.0
+        # Probe sets that cover the whole domain contain every data set.
+        full = RelationStats(50, 64.0, 64.0, 64, 64, 64, 50 * 64, 49, 0.0, 63)
+        assert expected_pairs(full, make_stats(40, avg_c=8, median_c=8, domain=64)) == (
+            pytest.approx(50 * 40, rel=1e-3)
+        )
+        # Sparse sets over a wide domain almost never contain each other.
+        wide = make_stats(1000, domain=1 << 20)
+        assert expected_pairs(wide, wide) < 1.0
+
+
+class TestPoolGrid:
+    """The committed break-even grid (``benchmarks/pool_grid.json``)."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        from benchmarks.pool_grid import load_grid
+
+        return load_grid()
+
+    def _plan(self, row):
+        r = RelationStats(**row["r_stats"])
+        s = RelationStats(**row["s_stats"])
+        return Planner().plan(r, s, Workload(workers=2))
+
+    def test_every_row_plans_near_the_faster_arm(self, grid):
+        for row in grid["rows"]:
+            p = self._plan(row)
+            label = f"{row['dataset']} {row['size']}"
+            assert p.algorithm == row["algorithm"], label
+            planned = row["pool_ms"] if p.executor == "parallel" else row["inline_ms"]
+            # At most 1.1x the old always-pool choice, and inline only
+            # where inline measured faster.
+            assert planned <= 1.1 * row["pool_ms"], label
+            if p.executor == "inline":
+                assert row["inline_ms"] < row["pool_ms"], label
+
+    def test_large_rows_keep_the_pool(self, grid):
+        planned = {(row["dataset"], row["size"]): self._plan(row).executor for row in grid["rows"]}
+        assert planned[("webbase", 3000)] == "parallel"
+        assert planned[("twitter", 5000)] == "parallel"
+        assert planned[("twitter", 500)] == "inline"
+
+    def test_committed_charges_are_the_grid_fit(self, grid):
+        from benchmarks.pool_grid import fit
+
+        for name, (child, pair) in fit(grid).items():
+            assert COST_PROFILES[name].pool_child_units == child, name
+            assert COST_PROFILES[name].pool_pair_units == pair, name
 
 
 # ----------------------------------------------------------------------
@@ -423,7 +537,7 @@ class TestShardedPlanning:
         assert "sharded" in rejected
 
     def test_unsharded_plans_record_sharded_as_rejected(self):
-        p = Planner().plan(make_stats(1000), make_stats(1000), Workload(workers=4))
+        p = Planner().plan(make_stats(20000), make_stats(20000), Workload(workers=4))
         assert p.executor == "parallel"
         rejected = {alt.choice for alt in p.decision("executor").rejected}
         assert "sharded" in rejected

@@ -18,6 +18,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+from functools import partial
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.errors import (
     RetryExhaustedError,
     WorkerError,
 )
+from repro.exec import supervisor
 from repro.exec.resilient import (
     RESILIENCE_EXTRAS,
     ResilientParallelJoin,
@@ -50,6 +52,17 @@ pytestmark = pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExce
 
 #: Optional start-method override so CI can drill both fork and spawn.
 START_METHOD = os.environ.get("REPRO_START_METHOD") or None
+
+
+#: The real child entry point, kept before any test patches it.
+_SERVE_SLOT = supervisor._serve_slot
+
+
+def _die_before_begun(trigger: FaultTrigger, calls, policy, conn) -> None:
+    """A child entry point that exits before its "begun" message while ``trigger`` fires."""
+    if trigger.fire():
+        os._exit(3)
+    _SERVE_SLOT(calls, policy, conn)
 
 
 def make_join(**kwargs) -> ResilientParallelJoin:
@@ -266,6 +279,36 @@ class TestTimeouts:
         )
         with pytest.raises(JoinTimeoutError):
             join.join(r, s)
+
+    def test_child_start_up_is_not_charged_to_the_first_task(self):
+        # A spawn child's start-up takes longer than the 0.25 s budget; the
+        # clock starts at its "begun" message, so no clean chunk times out.
+        r = random_relation(60, 6, 40, seed=903)
+        s = random_relation(60, 4, 40, seed=904)
+        result = ResilientParallelJoin(
+            algorithm="ptsj", workers=2, chunks=4, timeout_seconds=0.25,
+            start_method="spawn",
+        ).join(r, s)
+        assert set(result.pairs) == oracle_pairs(r, s)
+        assert result.stats.extras["timeouts"] == 0
+        assert result.stats.extras["fallback_chunks"] == 0
+
+    def test_child_dead_before_begun_counts_as_a_restart(
+        self, rs_pair, sequential_pairs, tmp_path, monkeypatch
+    ):
+        r, s = rs_pair
+        trigger = FaultTrigger(tmp_path, times=1)
+        monkeypatch.setattr(supervisor, "_serve_slot", partial(_die_before_begun, trigger))
+        result = make_join(
+            workers=2, chunks=4, timeout_seconds=30.0,
+            retry_policy=RetryPolicy(max_attempts=2),
+        ).join(r, s)
+        assert sorted(result.pairs) == sorted(sequential_pairs)
+        assert result.stats.extras["pool_restarts"] == 1
+        assert result.stats.extras["retries"] == 1
+        assert result.stats.extras["timeouts"] == 0
+        assert result.stats.extras["fallback_chunks"] == 0
+        assert multiprocessing.active_children() == []
 
     def test_generous_timeout_never_fires(self, rs_pair, sequential_pairs):
         r, s = rs_pair
