@@ -17,12 +17,26 @@ cardinality, SHJ/PTSJ insensitive to it (Fig. 6a).
 from __future__ import annotations
 
 import sys
+import types
 from typing import Any
 
 from repro.core.registry import make_algorithm
+from repro.kernels import KernelBackend
 from repro.relations.relation import Relation
 
 __all__ = ["deep_sizeof", "memory_per_tuple"]
+
+#: Process-wide objects :func:`deep_sizeof` stops at.  Kernel backends are
+#: process singletons that pickle by name, so an index refers to one but
+#: does not own it.
+_SHARED_TYPES = (
+    types.ModuleType,
+    type,
+    types.FunctionType,
+    types.BuiltinFunctionType,
+    types.MethodType,
+    KernelBackend,
+)
 
 
 def deep_sizeof(obj: Any, _seen: set[int] | None = None) -> int:
@@ -33,6 +47,14 @@ def deep_sizeof(obj: Any, _seen: set[int] | None = None) -> int:
     ``__slots__`` attributes are followed; atomic values are measured with
     :func:`sys.getsizeof`.  The walk is iterative, so arbitrarily deep
     structures (e.g. PRETTI tries over high-cardinality sets) are safe.
+
+    Modules, classes, functions and kernel backends are neither counted
+    nor followed: they are shared by the whole process, not owned by an
+    index.  Without this stop, an index holding the numpy kernel backend
+    would count numpy's module namespace, and whatever the process
+    imported before, as index bytes.  An instance ``__dict__`` counts as
+    a plain dict with the same items, so the figure does not depend on
+    how many other instances of the class are alive.
     """
     seen = _seen if _seen is not None else set()
     total = 0
@@ -40,7 +62,7 @@ def deep_sizeof(obj: Any, _seen: set[int] | None = None) -> int:
     while stack:
         current = stack.pop()
         oid = id(current)
-        if oid in seen:
+        if oid in seen or isinstance(current, _SHARED_TYPES):
             continue
         seen.add(oid)
         total += sys.getsizeof(current)
@@ -53,8 +75,14 @@ def deep_sizeof(obj: Any, _seen: set[int] | None = None) -> int:
             pass
         else:
             instance_dict = getattr(current, "__dict__", None)
-            if instance_dict is not None:
-                stack.append(instance_dict)
+            if instance_dict is not None and id(instance_dict) not in seen:
+                seen.add(id(instance_dict))
+                # An instance dict shares its keys with the class's other
+                # instances, and CPython then reports a size that drifts
+                # with how many of them exist; a plain copy's does not.
+                total += sys.getsizeof(dict(instance_dict))
+                stack.extend(instance_dict.keys())
+                stack.extend(instance_dict.values())
             for klass in type(current).__mro__:
                 for slot in getattr(klass, "__slots__", ()):
                     if hasattr(current, slot):

@@ -23,17 +23,23 @@ overall winner for low-cardinality datasets (Figs. 6c–6d, 7c, 8).
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.analysis.sanitizer import maybe_check_inverted_index
 from repro.core.base import JoinStats, PreparedIndex, SetContainmentJoin
-from repro.governance.policy import governor
+from repro.governance.policy import Governor, governor
 from repro.index.inverted import InvertedIndex, bitset_ranks
 from repro.obs.tracer import current_tracer
 from repro.relations.relation import Relation, SetRecord
 from repro.tries.set_patricia import SetPatriciaTrie
 
-__all__ = ["PRETTIPlus", "PrettiPlusPreparedIndex", "SPARSE_DIVISOR", "sparse_bound"]
+__all__ = [
+    "PRETTIPlus",
+    "PrettiPlusPreparedIndex",
+    "SPARSE_DIVISOR",
+    "build_set_patricia",
+    "sparse_bound",
+]
 
 #: A batch over ``n`` R-tuples carries candidates as a sorted rank list once
 #: at most ``n // SPARSE_DIVISOR`` remain, and as a rank bitset above that.
@@ -178,6 +184,29 @@ def sparse_bound(n: int) -> int:
     return n // SPARSE_DIVISOR
 
 
+def build_set_patricia(
+    records: Iterable[SetRecord], gov: Governor | None = None
+) -> tuple[SetPatriciaTrie, int]:
+    """PRETTI+'s Patricia trie over ``records``, and its node count.
+
+    Records are grouped by set in first-occurrence order (Sec. III-E1's
+    merge of identical sets) and each distinct set is inserted once with
+    :meth:`SetPatriciaTrie.from_groups`, which gives node for node the
+    tree of Algorithm 8's per-record insert loop.  ``gov`` ticks once per
+    record.
+    """
+    groups: dict[frozenset[int], list[int]] = {}
+    for rec in records:
+        if gov is not None:
+            gov.tick()
+        ids = groups.get(rec.elements)
+        if ids is None:
+            groups[rec.elements] = [rec.rid]
+        else:
+            ids.append(rec.rid)
+    return SetPatriciaTrie.from_groups(groups.items())
+
+
 def _peel(bits: int) -> list[int]:
     """The ascending set-bit positions of a bitset with few bits set."""
     out: list[int] = []
@@ -205,15 +234,10 @@ class PRETTIPlus(SetContainmentJoin):
         self.trie: SetPatriciaTrie | None = None
 
     def _prepare(self, s: Relation, probe_hint: Relation | None = None) -> PrettiPlusPreparedIndex:
-        trie = SetPatriciaTrie()
-        gov = governor("build")
-        for rec in s:
-            if gov is not None:
-                gov.tick()
-            trie.insert(rec.sorted_elements(), rec.rid)
+        trie, nodes = build_set_patricia(s, governor("build"))
         self.trie = trie
         index = PrettiPlusPreparedIndex(trie, s)
-        index.index_nodes = trie.node_count()
+        index.index_nodes = nodes
         return index
 
     def built_trie(self) -> SetPatriciaTrie:

@@ -19,8 +19,8 @@ step*: the trie stores the actual element runs.
 
 from __future__ import annotations
 
+from repro.core.pretti_plus import build_set_patricia
 from repro.relations.relation import Relation
-from repro.tries.set_patricia import SetPatriciaTrie
 
 __all__ = ["SetTrieIndex"]
 
@@ -35,11 +35,8 @@ class SetTrieIndex:
     """
 
     def __init__(self, relation: Relation) -> None:
-        self.trie = SetPatriciaTrie()
-        self._sets: dict[int, frozenset[int]] = {}
-        for rec in relation:
-            self.trie.insert(rec.sorted_elements(), rec.rid)
-            self._sets[rec.rid] = rec.elements
+        self.trie, _ = build_set_patricia(relation)
+        self._sets: dict[int, frozenset[int]] = {rec.rid: rec.elements for rec in relation}
 
     def __len__(self) -> int:
         return len(self.trie)

@@ -23,7 +23,7 @@ from itertools import chain
 from typing import Collection, Sequence
 
 from repro.kernels.base import KernelBackend, KernelUnavailableError, SignaturePack
-from repro.kernels.python_backend import PythonKernel
+from repro.kernels.python_backend import GALLOP_RATIO, gallop_intersect, merge_intersect
 
 try:  # pragma: no cover - exercised implicitly by backend availability
     import numpy as _np
@@ -32,8 +32,9 @@ except ImportError:  # pragma: no cover - numpy-less hosts
 
 __all__ = ["NumpyKernel", "NumpySignaturePack"]
 
-#: Below this size the numpy call overhead loses to the pure merge, so
-#: ``intersect_sorted`` delegates tiny inputs to the python kernels.
+#: When the shorter list is below this size the numpy call overhead loses
+#: to the pure merge, so ``intersect_sorted`` runs the python kernel's
+#: merge or gallop itself.
 #: Purely a performance crossover: both paths return identical lists.
 _SMALL_INTERSECT = 64
 
@@ -169,8 +170,14 @@ class NumpyKernel(KernelBackend):
     def intersect_sorted(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         if not a or not b:
             return []
-        if min(len(a), len(b)) < _SMALL_INTERSECT:
-            return _PYTHON_FALLBACK.intersect_sorted(a, b)
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) < _SMALL_INTERSECT:
+            # The python kernel's rule, run here: most calls on the
+            # PRETTI+ walk are this short, so a second dispatch would show.
+            if len(b) > GALLOP_RATIO * len(a):
+                return gallop_intersect(a, b)
+            return merge_intersect(a, b)
         np = self._np
         out = np.intersect1d(
             np.asarray(a, dtype=np.int64),
@@ -179,6 +186,3 @@ class NumpyKernel(KernelBackend):
         )
         return out.tolist()
 
-
-#: Small-input intersect fallback; the pure backend is always constructible.
-_PYTHON_FALLBACK = PythonKernel()

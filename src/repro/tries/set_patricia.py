@@ -16,7 +16,7 @@ new sibling.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from repro.errors import TrieError
 
@@ -59,6 +59,81 @@ class SetPatriciaTrie:
     def __init__(self) -> None:
         self.root = SetPatriciaNode(())
         self.size = 0
+
+    @classmethod
+    def from_groups(
+        cls, groups: Iterable[tuple[AbstractSet[int], list[int]]]
+    ) -> tuple["SetPatriciaTrie", int]:
+        """Build the trie of distinct sets in one pass; return it and its node count.
+
+        Each ``(elements, ids)`` group is sorted once and inserted once,
+        and ``ids`` becomes the ``tuples`` list of the node where the set
+        ends (the very list object).  Algorithm 8's four cases are inlined
+        as :meth:`insert` has them, except that the descent matches each
+        child's prefix run against the set directly.
+
+        Given the groups in first-occurrence order, the result is node for
+        node the trie that :meth:`insert` calls, one per tuple in input
+        order, would build, down to the order of every ``children`` dict
+        and ``tuples`` list: a repeated set only appends its id to the
+        node where its first occurrence ended (case 1), so inserting each
+        distinct set once, at its first occurrence, makes the same nodes.
+
+        Raises:
+            TrieError: If two groups hold the same set.
+        """
+        trie = cls()
+        root = trie.root
+        node_type = SetPatriciaNode
+        nodes = 1
+        size = 0
+        for elements, ids in groups:
+            size += len(ids)
+            key = tuple(sorted(elements))
+            total = len(key)
+            node = root
+            consumed = 0
+            while consumed < total:
+                first = key[consumed]
+                child = node.children.get(first)
+                if child is None:
+                    # Case (2), new leaf: the rest of the set is its run.
+                    leaf = node_type(key[consumed:])
+                    node.children[first] = node = leaf
+                    nodes += 1
+                    break
+                prefix = child.prefix
+                plen = len(prefix)
+                if key[consumed:consumed + plen] == prefix:
+                    # Case (2), descend: the whole run matches.
+                    consumed += plen
+                    node = child
+                    continue
+                # The run and the set part ways after at least one common
+                # element: split ``child`` so a new node takes the common run.
+                limit = min(plen, total - consumed)
+                common_len = 1
+                while common_len < limit and prefix[common_len] == key[consumed + common_len]:
+                    common_len += 1
+                common = node_type(prefix[:common_len])
+                child.prefix = prefix[common_len:]
+                common.children[child.prefix[0]] = child
+                node.children[first] = common
+                nodes += 1
+                consumed += common_len
+                node = common
+                if consumed < total:
+                    # Case (4): the set continues past the split — new sibling.
+                    node = node_type(key[consumed:])
+                    common.children[key[consumed]] = node
+                    nodes += 1
+                # Otherwise case (3): the new common node is the set's end.
+                break
+            if node.tuples:
+                raise TrieError(f"set {key} appears in two groups")
+            node.tuples = ids
+        trie.size = size
+        return trie, nodes
 
     def insert(self, elements: Sequence[int], rid: int) -> None:
         """Insert tuple ``rid`` with its *ascending* element sequence.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.bench.experiments import (
@@ -56,6 +58,14 @@ class TestDeepSizeof:
             trie.insert(sig).append(sig)
         assert deep_sizeof(trie) > empty_size
 
+    def test_stops_at_process_wide_objects(self):
+        # Modules, classes, functions and kernel backends belong to the
+        # process, not to an index: only the list itself is counted.
+        from repro.kernels import get_backend
+
+        shared = [sys, SyntheticConfig, len, deep_sizeof, get_backend("python")]
+        assert deep_sizeof(shared) == sys.getsizeof(shared)
+
     def test_deep_structures_no_recursion_error(self):
         node: list = []
         for _ in range(5000):
@@ -74,6 +84,20 @@ class TestIndexMemory:
         }
         assert per_tuple["pretti"] == max(per_tuple.values())
         assert per_tuple["pretti+"] < per_tuple["pretti"]
+
+    def test_rows_identical_under_every_kernel(self):
+        """Fig. 6a rows do not depend on the kernel backend the index holds."""
+        from repro.kernels import available_backends, use_backend
+
+        r = random_relation(120, 8, 200, seed=502)
+        s = random_relation(120, 8, 200, seed=503)
+        rows = {}
+        for backend in available_backends():
+            with use_backend(backend):
+                rows[backend] = [
+                    memory_per_tuple(name, r, s) for name in ("shj", "pretti", "ptsj", "pretti+")
+                ]
+        assert len(set(map(tuple, rows.values()))) == 1, rows
 
     def test_memory_per_tuple_empty(self):
         from repro.relations.relation import Relation

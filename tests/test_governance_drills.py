@@ -43,6 +43,7 @@ from repro.relations.relation import Relation, SetRecord
 from repro.relations.stats import compute_stats
 from repro.testing.faults import CountdownCancelToken, SkewedClock, SteppingSampler
 from repro.tries.patricia import SUBSET_BATCH_BLOCK, PatriciaTrie
+from repro.tries.set_patricia import SetPatriciaTrie
 from tests.conftest import oracle_pairs, random_relation
 
 #: Optional start-method override so CI can drill both fork and spawn.
@@ -248,18 +249,34 @@ def test_batched_ptsj_probe_stops_mid_walk(fault, walk_spy, sanitized_tracer):
 # ----------------------------------------------------------------------
 # Governed PTSJ build: one poll per S record, then one bulk build
 # ----------------------------------------------------------------------
+def count_entries(monkeypatch, cls, name: str) -> dict[str, int]:
+    """Counts entries into the classmethod ``cls.name``."""
+    state = {"entered": 0}
+    build = getattr(cls, name).__func__
+
+    def spy(klass, *args, **kwargs):
+        state["entered"] += 1
+        return build(klass, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, classmethod(spy))
+    return state
+
+
+def halfway_trip(fault: str, polls: int):
+    """A ``poll_interval=1`` policy whose deadline or cancel token trips at
+    poll ``polls``: ``(policy, expected error, token or None)``."""
+    if fault == "deadline":
+        # One clock reading for Deadline.after, then one per poll.
+        deadline = Deadline.after(600.0, clock=ExpiringClock(polls + 1))
+        return GovernancePolicy(deadline=deadline, poll_interval=1), DeadlineExceededError, None
+    token = CountdownCancelToken(after_checks=polls)
+    return GovernancePolicy(cancel=token, poll_interval=1), CancelledError, token
+
+
 @pytest.fixture
 def bulk_build_spy(monkeypatch):
     """Counts entries into the one-pass Patricia build."""
-    state = {"entered": 0}
-    build = PatriciaTrie.from_sorted.__func__
-
-    def spy(cls, *args, **kwargs):
-        state["entered"] += 1
-        return build(cls, *args, **kwargs)
-
-    monkeypatch.setattr(PatriciaTrie, "from_sorted", classmethod(spy))
-    return state
+    return count_entries(monkeypatch, PatriciaTrie, "from_sorted")
 
 
 def test_governed_ptsj_build_ticks_once_per_s_record(bulk_build_spy):
@@ -280,21 +297,46 @@ def test_governed_ptsj_build_stops_mid_grouping(fault, bulk_build_spy,
     # With poll_interval=1 the build polls once per S record: the trip
     # lands halfway through S, before the trie is built.
     polls = len(s) // 2
-    if fault == "deadline":
-        # One clock reading for Deadline.after, then one per poll.
-        deadline = Deadline.after(600.0, clock=ExpiringClock(polls + 1))
-        policy = GovernancePolicy(deadline=deadline, poll_interval=1)
-        error = DeadlineExceededError
-    else:
-        token = CountdownCancelToken(after_checks=polls)
-        policy = GovernancePolicy(cancel=token, poll_interval=1)
-        error = CancelledError
+    policy, error, token = halfway_trip(fault, polls)
     with govern(policy):
         with pytest.raises(error, match="during build"):
             PTSJ().prepare(s)
-    if fault == "cancel":
+    if token is not None:
         assert token.checks == polls
     assert bulk_build_spy["entered"] == 0
+
+
+# ----------------------------------------------------------------------
+# Governed PRETTI+ build: one poll per S record, then one grouped build
+# ----------------------------------------------------------------------
+@pytest.fixture
+def grouped_build_spy(monkeypatch):
+    """Counts entries into PRETTI+'s one-pass Patricia build."""
+    return count_entries(monkeypatch, SetPatriciaTrie, "from_groups")
+
+
+def test_governed_pretti_plus_build_ticks_once_per_s_record(grouped_build_spy):
+    s = random_relation(300, 5, 60, seed=713)
+    token = CountdownCancelToken(after_checks=len(s) + 2)
+    with govern(GovernancePolicy(cancel=token, poll_interval=1)):
+        PRETTIPlus().prepare(s)
+    # One poll per S record while grouping, then the build-boundary poll.
+    assert token.checks == len(s) + 1
+    assert grouped_build_spy["entered"] == 1
+
+
+@pytest.mark.parametrize("fault", ["deadline", "cancel"])
+def test_governed_pretti_plus_build_stops_mid_grouping(fault, grouped_build_spy,
+                                                       sanitized_tracer):
+    s = random_relation(300, 5, 60, seed=713)
+    polls = len(s) // 2
+    policy, error, token = halfway_trip(fault, polls)
+    with govern(policy):
+        with pytest.raises(error, match="during build"):
+            PRETTIPlus().prepare(s)
+    if token is not None:
+        assert token.checks == polls
+    assert grouped_build_spy["entered"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TrieError
 from repro.tries.set_patricia import SetPatriciaTrie
@@ -130,3 +132,89 @@ class TestCompression:
         trie = build([(1, 2, 3), (1, 2, 5), (1, 2)])
         paths = {path for node, path in trie.walk() if node.tuples}
         assert paths == {(1, 2, 3), (1, 2, 5), (1, 2)}
+
+
+# ----------------------------------------------------------------------
+# One-pass grouped build
+# ----------------------------------------------------------------------
+def node_fields(trie: SetPatriciaTrie) -> list[tuple]:
+    """Every node's run, resident ids and child keys (in dict order), pre-order."""
+    out = []
+    stack = [trie.root]
+    while stack:
+        node = stack.pop()
+        out.append((node.prefix, list(node.tuples), list(node.children)))
+        stack.extend(node.children.values())
+    return out
+
+
+def grouped(sets: list[frozenset[int]]) -> tuple[SetPatriciaTrie, int]:
+    """The bulk-built twin of :func:`build`: one group per distinct set,
+    in first-occurrence order."""
+    groups: dict[frozenset[int], list[int]] = {}
+    for i, s in enumerate(sets):
+        groups.setdefault(s, []).append(i)
+    return SetPatriciaTrie.from_groups(groups.items())
+
+
+#: Small domains make empty sets, repeats and sets that are prefixes of
+#: others (Algorithm 8's split cases 3 and 4) common.
+SETS = st.lists(st.frozensets(st.integers(0, 9), max_size=6), max_size=40)
+
+
+class TestFromGroups:
+    @settings(max_examples=300, deadline=None)
+    @given(sets=SETS)
+    def test_matches_insert_loop_node_for_node(self, sets):
+        incremental = build([tuple(sorted(s)) for s in sets])
+        trie, nodes = grouped(sets)
+        trie.check_invariants()
+        assert node_fields(trie) == node_fields(incremental)
+        assert nodes == trie.node_count() == incremental.node_count()
+        assert len(trie) == len(incremental) == len(sets)
+
+    @pytest.mark.parametrize("sets", [
+        [(1, 2, 3, 4), (1, 2)],           # case 3: the new common node ends the set
+        [(1, 2, 3), (1, 2, 5)],           # case 4: split with a new sibling
+        [(1, 2), (1, 2, 3, 4), (1, 2)],   # case 2 descent, then case 1 repeat
+        [(), (1,), ()],                   # the empty set ends at the root
+        [],
+    ])
+    def test_split_cases(self, sets):
+        trie, nodes = grouped([frozenset(s) for s in sets])
+        incremental = build(sets)
+        assert node_fields(trie) == node_fields(incremental)
+        assert nodes == incremental.node_count()
+
+    def test_hands_over_the_id_lists(self):
+        ids = [4, 9]
+        trie, _ = SetPatriciaTrie.from_groups([(frozenset({3, 1}), ids)])
+        assert trie.root.children[1].tuples is ids
+        assert len(trie) == 2
+
+    def test_repeated_group_rejected(self):
+        with pytest.raises(TrieError):
+            SetPatriciaTrie.from_groups([(frozenset({1, 2}), [0]), (frozenset({1, 2}), [1])])
+        with pytest.raises(TrieError):
+            SetPatriciaTrie.from_groups([(frozenset(), [0]), (frozenset(), [1])])
+
+    @settings(max_examples=100, deadline=None)
+    @given(sets=SETS, ops=st.lists(
+        st.tuples(st.booleans(), st.frozensets(st.integers(0, 9), max_size=6)), max_size=30))
+    def test_maintains_like_incremental(self, sets, ops):
+        # insert/remove on a bulk-built trie behave exactly as on one the
+        # insert loop built (SetTrieIndex.add/discard rely on this).
+        incremental = build([tuple(sorted(s)) for s in sets])
+        trie, _ = grouped(sets)
+        for step, (is_insert, s) in enumerate(ops):
+            key = tuple(sorted(s))
+            rid = len(sets) + step
+            if is_insert:
+                trie.insert(key, rid)
+                incremental.insert(key, rid)
+            else:
+                victim = next((i for i, other in enumerate(sets) if other == s), rid)
+                assert trie.remove(key, victim) == incremental.remove(key, victim)
+            trie.check_invariants()
+            assert node_fields(trie) == node_fields(incremental)
+            assert len(trie) == len(incremental)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.extensions.set_trie_index import SetTrieIndex
 from repro.relations.relation import Relation
+from repro.tries.set_patricia import SetPatriciaTrie
 from tests.conftest import random_relation
 
 
@@ -67,6 +68,25 @@ class TestProbes:
             assert sorted(trie_index.subsets_of(query)) == sig_subs
             sig_sups = sorted(i for g in signature_index.supersets_of(query) for i in g.ids)
             assert sorted(trie_index.supersets_of(query)) == sig_sups
+
+    def test_answers_match_an_insert_loop_index(self):
+        # The one-pass build must answer, in the same order, exactly what
+        # the per-record insert loop answered, duplicates and prefix sets
+        # included.
+        rng = random.Random(945)
+        base = [frozenset(rng.sample(range(12), rng.randint(0, 4))) for _ in range(30)]
+        rel = Relation.from_sets(base + base[:10] + [s | {12} for s in base[:10]])
+        index = SetTrieIndex(rel)
+        reference = SetPatriciaTrie()
+        for rec in rel:
+            reference.insert(rec.sorted_elements(), rec.rid)
+        for _ in range(25):
+            query = frozenset(rng.sample(range(13), rng.randint(0, 8)))
+            assert index.subsets_of(query) == reference.subsets_of(query)
+            assert index.supersets_of(query) == reference.supersets_of(query)
+            assert sorted(index.subsets_of(query)) == brute(rel, query, "sub")
+        for rec in rel:
+            assert sorted(index.equal_to(rec.elements)) == brute(rel, rec.elements, "eq")
 
 
 class TestMaintenance:
