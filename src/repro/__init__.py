@@ -44,6 +44,7 @@ from repro.core import (
     PTSJ,
     JoinResult,
     JoinStats,
+    PairColumns,
     PreparedIndex,
     PRETTIPlus,
     SetContainmentJoin,
@@ -93,6 +94,7 @@ __all__ = [
     "SetContainmentJoin",
     "JoinResult",
     "JoinStats",
+    "PairColumns",
     "PreparedIndex",
     # registry
     "ALGORITHMS",

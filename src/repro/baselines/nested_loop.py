@@ -68,9 +68,12 @@ class NestedLoopJoin(SetContainmentJoin):
     def _prepare(self, s: Relation, probe_hint: Relation | None = None) -> NestedLoopPreparedIndex:
         records: list[SetRecord] = []
         append = records.append
-        gov = governor("build")
+        build_stats = JoinStats(algorithm=self.name)
+        gov = governor("build", build_stats)
         for rec in s:
             if gov is not None:
                 gov.tick()
             append(rec)
-        return NestedLoopPreparedIndex(tuple(records), s)
+        index = NestedLoopPreparedIndex(tuple(records), s)
+        index.build_extras = dict(build_stats.extras)
+        return index

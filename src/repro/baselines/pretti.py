@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro.core.base import JoinStats, PreparedIndex, SetContainmentJoin
+from repro.core.base import JoinStats, PairColumns, PreparedIndex, SetContainmentJoin, id_column
 from repro.governance.policy import governor
 from repro.index.inverted import InvertedIndex
 from repro.obs.tracer import current_tracer
@@ -69,7 +69,7 @@ class PrettiPreparedIndex(PreparedIndex):
                 if child.label in elements:
                     stack.append(child)
 
-    def _probe_all(self, r: Relation, stats: JoinStats) -> list[tuple[int, int]]:
+    def _probe_all(self, r: Relation, stats: JoinStats) -> PairColumns:
         """One DFS over the trie (the paper's PRETTIJOIN, made iterative).
 
         Branches whose candidate list empties are pruned: no descendant can
@@ -84,7 +84,8 @@ class PrettiPreparedIndex(PreparedIndex):
             index = InvertedIndex(r)
             if tracer.enabled:
                 tracer.count("inverted_records", len(index.all_ids))
-        pairs: list[tuple[int, int]] = []
+        col = id_column(r, self.relation)
+        r_col, s_col = col(), col()
         intersections_before = index.intersection_count
         visits = 0
         with tracer.span("traverse"):
@@ -96,9 +97,11 @@ class PrettiPreparedIndex(PreparedIndex):
                 node, current = stack.pop()
                 visits += 1
                 if node.tuples:
+                    block = col(current)
+                    k = len(block)
                     for s_id in node.tuples:
-                        for r_id in current:
-                            pairs.append((r_id, s_id))
+                        r_col += block
+                        s_col += col((s_id,)) * k
                 for child in node.children.values():
                     child_list = index.refine(current, child.label)
                     if child_list:
@@ -110,7 +113,7 @@ class PrettiPreparedIndex(PreparedIndex):
                 )
         stats.node_visits += visits
         stats.intersections += index.intersection_count - intersections_before
-        return pairs
+        return PairColumns(r_col, s_col)
 
     def memory_objects(self, probe_relation: Relation | None = None) -> list[Any]:
         objs: list[Any] = [self.trie]
@@ -137,7 +140,8 @@ class PRETTI(SetContainmentJoin):
 
     def _prepare(self, s: Relation, probe_hint: Relation | None = None) -> PrettiPreparedIndex:
         trie = SetTrie()
-        gov = governor("build")
+        build_stats = JoinStats(algorithm=self.name)
+        gov = governor("build", build_stats)
         for rec in s:
             if gov is not None:
                 gov.tick()
@@ -145,4 +149,5 @@ class PRETTI(SetContainmentJoin):
         self.trie = trie
         index = PrettiPreparedIndex(trie, s)
         index.index_nodes = trie.node_count()
+        index.build_extras = dict(build_stats.extras)
         return index

@@ -4,6 +4,7 @@ from repro.core.base import (
     CandidateGroup,
     JoinResult,
     JoinStats,
+    PairColumns,
     PreparedIndex,
     SetContainmentJoin,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "CandidateGroup",
     "JoinResult",
     "JoinStats",
+    "PairColumns",
     "PreparedIndex",
     "SetContainmentJoin",
     "SignatureJoinBase",

@@ -36,8 +36,12 @@ makes every span a no-op, keeping the un-traced path unchanged.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from functools import partial
+from operator import eq, itemgetter
+from typing import Any, Callable, Iterable, Iterator, MutableSequence
 
 from repro.analysis.concurrency import tracked_lock
 from repro.analysis.sanitizer import (
@@ -56,9 +60,16 @@ __all__ = [
     "CandidateGroup",
     "JoinStats",
     "JoinResult",
+    "PairColumns",
     "PreparedIndex",
     "SetContainmentJoin",
+    "id_column",
 ]
+
+#: One output id column: ``array('q')``, or a list when some id exceeds int64.
+Column = MutableSequence[int]
+
+_INT64_COLUMN = partial(array, "q")
 
 
 class CandidateGroup:
@@ -168,20 +179,106 @@ class JoinStats:
         registry.snapshot_into(self.extras, prefix=prefix)
 
 
+def id_column(*relations: Relation) -> Callable[..., Column]:
+    """The output column constructor for a join over ``relations``' ids.
+
+    ``array('q')`` when every id of every relation fits a signed 64-bit
+    int, ``list`` otherwise (ids are arbitrary ints).  A join chooses once,
+    then calls the constructor with no argument for an empty column and
+    with ids for a block: ``s_col += col((s_id,)) * k`` repeats one id
+    without converting it ``k`` times.
+    """
+    if all(rel.ids_fit_int64() for rel in relations):
+        return _INT64_COLUMN
+    return list
+
+
+class PairColumns(Sequence):
+    """Join output as two id columns: pair ``i`` is ``(r_ids[i], s_ids[i])``.
+
+    A read-only sequence of ``(r_id, s_id)`` tuples in emission order:
+    ``len``, iteration, indexing and slicing behave as on the list of
+    pairs, and ``==`` holds against any sequence of the same pairs in the
+    same order.  The columns are ``array('q')`` buffers — one machine word
+    per id and no object per pair — or plain lists when some id exceeds
+    int64.  Tuples are made only when read; ``list(pairs)`` makes them all.
+    """
+
+    __slots__ = ("r_ids", "s_ids")
+
+    def __init__(self, r_ids: Column, s_ids: Column) -> None:
+        self.r_ids = r_ids
+        self.s_ids = s_ids
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "PairColumns":
+        """Columns over ``pairs`` (returned as is when already columns)."""
+        if isinstance(pairs, PairColumns):
+            return pairs
+        if not isinstance(pairs, (list, tuple)):
+            pairs = list(pairs)
+        try:
+            r_ids = _INT64_COLUMN(map(itemgetter(0), pairs))
+            return cls(r_ids, _INT64_COLUMN(map(itemgetter(1), pairs)))
+        except OverflowError:
+            return cls([p[0] for p in pairs], [p[1] for p in pairs])
+
+    @classmethod
+    def concat(cls, parts: Iterable["PairColumns"]) -> "PairColumns":
+        """The pairs of ``parts``, one after another, as new columns."""
+        parts = list(parts)
+        wide = any(type(part.r_ids) is not array for part in parts)
+        col = list if wide else _INT64_COLUMN
+        r_ids, s_ids = col(), col()
+        for part in parts:
+            r_ids += part.r_ids
+            s_ids += part.s_ids
+        return cls(r_ids, s_ids)
+
+    def __len__(self) -> int:
+        return len(self.r_ids)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self.r_ids, self.s_ids)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return PairColumns(self.r_ids[index], self.s_ids[index])
+        return self.r_ids[index], self.s_ids[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PairColumns) and type(self.r_ids) is type(other.r_ids):
+            return self.r_ids == other.r_ids and self.s_ids == other.s_ids
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # array('q') pickles as raw bytes, so a child's pairs travel home
+        # as two buffers.
+        return PairColumns, (self.r_ids, self.s_ids)
+
+    def __repr__(self) -> str:
+        return f"PairColumns({list(self)!r})"
+
+
 class JoinResult:
     """The output pairs of one join plus its :class:`JoinStats`.
 
-    Pairs are ``(r_id, s_id)`` with ``r.set ⊇ s.set``.  Order is
-    algorithm-dependent; use :meth:`sorted_pairs` or :meth:`pair_set` to
-    compare results across algorithms.
+    Pairs are ``(r_id, s_id)`` with ``r.set ⊇ s.set``, held as
+    :class:`PairColumns`; any iterable of pairs given here is converted.
+    Order is algorithm-dependent; use :meth:`sorted_pairs` or
+    :meth:`pair_set` to compare results across algorithms.
     """
 
     __slots__ = ("pairs", "stats")
 
-    def __init__(self, pairs: list[tuple[int, int]], stats: JoinStats) -> None:
-        self.pairs = pairs
+    def __init__(self, pairs: Iterable[tuple[int, int]], stats: JoinStats) -> None:
+        self.pairs = PairColumns.from_pairs(pairs)
         self.stats = stats
-        stats.pairs = len(pairs)
+        stats.pairs = len(self.pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -291,18 +388,20 @@ class PreparedIndex(ABC):
             maybe_check_probe_accounting(self, stats, len(r))
         return result
 
-    def _probe_all(self, r: Relation, stats: JoinStats) -> list[tuple[int, int]]:
+    def _probe_all(self, r: Relation, stats: JoinStats) -> PairColumns:
         """Default batch probe: one streaming :meth:`probe` per record."""
-        pairs: list[tuple[int, int]] = []
-        append = pairs.append
+        col = id_column(r, self.relation)
+        r_col, s_col = col(), col()
+        add_r, add_s = r_col.append, s_col.append
         gov = governor("probe", stats)
         for rec in r:
             if gov is not None:
                 gov.tick()
             r_id = rec.rid
             for s_id in self.probe(rec, stats):
-                append((r_id, s_id))
-        return pairs
+                add_r(r_id)
+                add_s(s_id)
+        return PairColumns(r_col, s_col)
 
     # ------------------------------------------------------------------
     # Statistics

@@ -30,8 +30,10 @@ from repro.analysis.sanitizer import enabled as sanitizer_enabled
 from repro.core.base import (
     CandidateGroup,
     JoinStats,
+    PairColumns,
     PreparedIndex,
     SetContainmentJoin,
+    id_column,
 )
 from repro.governance.policy import Governor, governor
 from repro.kernels import KernelBackend, get_backend
@@ -151,7 +153,7 @@ class SignaturePreparedIndex(PreparedIndex):
                 if fits if exact else group.elements <= r_set:
                     yield from group.ids
 
-    def _probe_all(self, r: Relation, stats: JoinStats) -> list[tuple[int, int]]:
+    def _probe_all(self, r: Relation, stats: JoinStats) -> PairColumns:
         """Algorithm 1 lines 4–8 for a whole relation: filter, then verify.
 
         The filter phase hashes the whole relation in one
@@ -191,8 +193,9 @@ class SignaturePreparedIndex(PreparedIndex):
             for rec, r_sig, leaves in zip(r, signatures, hits):
                 for leaf in leaves:
                     check_exact_verdicts(leaf, r_sig, rec.elements)
-        pairs: list[tuple[int, int]] = []
-        append = pairs.append
+        col = id_column(r, self.relation)
+        r_col, s_col = col(), col()
+        add_r, add_s = r_col.append, s_col.append
         candidates = 0
         for rec, r_sig, leaves in zip(r, signatures, hits):
             if gov is not None:
@@ -207,7 +210,8 @@ class SignaturePreparedIndex(PreparedIndex):
                 for group in groups:
                     if fits if exact else group.elements <= r_set:
                         for s_id in group.ids:
-                            append((r_id, s_id))
+                            add_r(r_id)
+                            add_s(s_id)
         stats.candidates += candidates
         stats.verifications += candidates
         t2 = perf_counter()
@@ -227,14 +231,14 @@ class SignaturePreparedIndex(PreparedIndex):
             tracer.record(
                 "verify",
                 t2 - t1,
-                {"candidates": candidates, "pairs": len(pairs)},
+                {"candidates": candidates, "pairs": len(r_col)},
                 calls=len(r),
                 mirror=False,
             )
             if tracer.registry is not None:
                 # leaf_hits has no other registry source.
                 tracer.registry.counter("leaf_hits").inc(leaf_hits)
-        return pairs
+        return PairColumns(r_col, s_col)
 
     @property
     def kernel(self) -> KernelBackend:

@@ -22,11 +22,10 @@ overall winner for low-cardinality datasets (Figs. 6c–6d, 7c, 8).
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Any, Iterable, Iterator
 
 from repro.analysis.sanitizer import maybe_check_inverted_index
-from repro.core.base import JoinStats, PreparedIndex, SetContainmentJoin
+from repro.core.base import JoinStats, PairColumns, PreparedIndex, SetContainmentJoin, id_column
 from repro.governance.policy import Governor, governor
 from repro.index.inverted import InvertedIndex, bitset_ranks
 from repro.obs.tracer import current_tracer
@@ -77,7 +76,7 @@ class PrettiPlusPreparedIndex(PreparedIndex):
                 if all(element in elements for element in child.prefix):
                     stack.append(child)
 
-    def _probe_all(self, r: Relation, stats: JoinStats) -> list[tuple[int, int]]:
+    def _probe_all(self, r: Relation, stats: JoinStats) -> PairColumns:
         """PRETTI's traversal adapted to multi-element nodes, set-at-a-time.
 
         Entering a child costs one inverted-list intersection per element of
@@ -101,6 +100,11 @@ class PrettiPlusPreparedIndex(PreparedIndex):
         pairs, their order and the ``node_visits``/``intersections``
         counters do not depend on the form.
 
+        A node holding tuples emits into two id columns in blocks: its
+        candidates become one column block, appended once per resident
+        S id, and each S id is repeated to the block's length.  No pair
+        becomes a Python object.
+
         Under an active tracer the probe-side phases — inverted-file
         construction (``invert``) and the traversal (``traverse``) — are
         reported as child spans of ``probe``, mirroring PRETTI.
@@ -117,8 +121,8 @@ class PrettiPlusPreparedIndex(PreparedIndex):
         intersect = index.kernel.intersect_sorted
         full = (1 << len(all_ids)) - 1
         sparse = sparse_bound(len(all_ids))
-        pairs: list[tuple[int, int]] = []
-        extend = pairs.extend
+        col = id_column(r, self.relation)
+        r_col, s_col = col(), col()
         intersections = 0
         visits = 0
         with tracer.span("traverse"):
@@ -134,9 +138,11 @@ class PrettiPlusPreparedIndex(PreparedIndex):
                 visits += 1
                 if node.tuples:
                     ranks = bitset_ranks(current) if type(current) is int else current
-                    rids = ranks if ids_are_ranks else [all_ids[p] for p in ranks]
+                    block = col(ranks if ids_are_ranks else [all_ids[p] for p in ranks])
+                    k = len(block)
                     for s_id in node.tuples:
-                        extend(zip(rids, repeat(s_id)))
+                        r_col += block
+                        s_col += col((s_id,)) * k
                 for child in node.children.values():
                     cands = current
                     for element in child.prefix:
@@ -165,7 +171,7 @@ class PrettiPlusPreparedIndex(PreparedIndex):
         maybe_check_inverted_index(index)
         stats.node_visits += visits
         stats.intersections += intersections
-        return pairs
+        return PairColumns(r_col, s_col)
 
     def memory_objects(self, probe_relation: Relation | None = None) -> list[Any]:
         objs: list[Any] = [self.trie]
@@ -234,10 +240,12 @@ class PRETTIPlus(SetContainmentJoin):
         self.trie: SetPatriciaTrie | None = None
 
     def _prepare(self, s: Relation, probe_hint: Relation | None = None) -> PrettiPlusPreparedIndex:
-        trie, nodes = build_set_patricia(s, governor("build"))
+        build_stats = JoinStats(algorithm=self.name)
+        trie, nodes = build_set_patricia(s, governor("build", build_stats))
         self.trie = trie
         index = PrettiPlusPreparedIndex(trie, s)
         index.index_nodes = nodes
+        index.build_extras = dict(build_stats.extras)
         return index
 
     def built_trie(self) -> SetPatriciaTrie:

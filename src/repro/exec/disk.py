@@ -20,7 +20,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, ClassVar
 
-from repro.core.base import JoinResult, JoinStats
+from repro.core.base import JoinResult, JoinStats, PairColumns
 from repro.core.options import validate_max_tuples
 from repro.exec.merge import merge_stats
 from repro.exec.protocol import BaseExecutor
@@ -119,7 +119,7 @@ class DiskPartitionedJoin(BaseExecutor):
             # a cancelled or over-deadline join stops after the pair in
             # flight (each per-pair join also polls internally).
             gov = governor("probe", stats)
-            pairs: list[tuple[int, int]] = []
+            parts: list[PairColumns] = []
             for s_index in range(len(s_spill)):
                 with tracer.span("load"):
                     s_part = s_spill.load(s_index)
@@ -130,7 +130,7 @@ class DiskPartitionedJoin(BaseExecutor):
                         r_part = r_spill.load(r_index)
                     algo = make_algorithm(self.algorithm, **self.algorithm_kwargs)
                     part_result = algo.join(r_part, s_part)
-                    pairs.extend(part_result.pairs)
+                    parts.append(part_result.pairs)
                     merge_stats(stats, part_result.stats)
             stats.extras["r_partitions"] = len(r_spill)
             stats.extras["s_partitions"] = len(s_spill)
@@ -146,7 +146,7 @@ class DiskPartitionedJoin(BaseExecutor):
                 s_spill.cleanup()
             if own_tmp is not None:
                 own_tmp.cleanup()
-        return JoinResult(pairs, stats)
+        return JoinResult(PairColumns.concat(parts), stats)
 
 
 def disk_partitioned_join(

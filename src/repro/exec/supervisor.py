@@ -10,7 +10,8 @@ slots.  Slot 0 is the parent, which runs its tasks in-process; every
 other slot is one child process started for this join alone with its
 tasks' calls as ``Process`` arguments (inherited under ``fork``, pickled
 once under ``spawn``/``forkserver``).  A child replies once per task down
-a one-way pipe — the pairs as two ``array('q')`` columns plus the task's
+a one-way pipe — the task's :class:`~repro.core.base.PairColumns` (two
+``array('q')`` buffers on the wire) plus its
 :class:`~repro.core.base.JoinStats`, or the exception the task raised,
 after which it exits.  The parent waits on the pipes with
 :func:`multiprocessing.connection.wait`, starts no thread, and reaps every
@@ -43,13 +44,11 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from array import array
 from dataclasses import dataclass
 from multiprocessing.connection import wait
-from operator import itemgetter
-from typing import Any, Callable, ClassVar, Iterable, Protocol, Sequence
+from typing import Any, Callable, ClassVar, Iterable, Protocol
 
-from repro.core.base import JoinResult, JoinStats
+from repro.core.base import JoinResult, JoinStats, PairColumns
 from repro.errors import (
     AlgorithmError,
     GovernanceError,
@@ -66,7 +65,7 @@ from repro.relations.relation import Relation
 __all__ = ["RetryPolicy", "Supervisor", "Task", "recovery_extras"]
 
 #: One task's result: its pairs and the stats its probe (or build) reported.
-Outcome = tuple[list[tuple[int, int]], JoinStats]
+Outcome = tuple[PairColumns, JoinStats]
 
 #: One attempt at one task as a picklable zero-argument call.
 Work = Callable[[], Outcome]
@@ -75,18 +74,6 @@ Work = Callable[[], Outcome]
 def recovery_extras(noun: str) -> tuple[str, ...]:
     """The stats extras a supervised join over ``noun`` tasks always reports."""
     return ("retries", "timeouts", f"fallback_{noun}s", "pool_restarts", f"corrupt_{noun}s")
-
-
-def _columns(pairs: list[tuple[int, int]]) -> tuple[Sequence[int], Sequence[int]]:
-    """Split pairs into an r-id and an s-id column for the trip home.
-
-    Two ``array('q')`` buffers pickle as raw bytes, far cheaper than a
-    list of tuples.  Ids beyond int64 travel as plain lists instead.
-    """
-    try:
-        return array("q", map(itemgetter(0), pairs)), array("q", map(itemgetter(1), pairs))
-    except OverflowError:
-        return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
 def _serve_slot(calls: list[Work], policy: GovernancePolicy | None, conn: Any) -> None:
@@ -105,8 +92,7 @@ def _serve_slot(calls: list[Work], policy: GovernancePolicy | None, conn: Any) -
     conn.send(("begun", None))
     for call in calls:
         try:
-            pairs, stats = call()
-            reply: tuple[str, Any] = ("ok", (*_columns(pairs), stats))
+            reply: tuple[str, Any] = ("ok", call())
         except Exception as exc:  # noqa: BLE001 - re-raised or retried in the parent
             reply = ("error", exc)
         # A reply that fails to pickle kills the child, which the parent
@@ -308,13 +294,13 @@ class Supervisor:
                 busy = [slot for slot in busy if slot.tasks]
             # Fold before the finally reaps, so the children exit while
             # the parent merges.
-            pairs: list[tuple[int, int]] = []
+            parts: list[PairColumns] = []
             for outcome in results:
                 assert outcome is not None
                 task_pairs, task_stats = outcome
-                pairs.extend(task_pairs)
+                parts.append(task_pairs)
                 merge_stats(stats, task_stats)
-            return JoinResult(pairs, stats)
+            return JoinResult(PairColumns.concat(parts), stats)
         except GovernanceError:
             # Record how many tasks the abort stranded before the finally
             # block terminates their children.  tracer.record survives the
@@ -331,10 +317,17 @@ class Supervisor:
                 slot.stop()
 
     def check(self, task: Task, pairs: Iterable[tuple[int, int]], stats: JoinStats) -> None:
-        """Reject output referencing tuples the task never held."""
+        """Reject output referencing tuples the task never held.
+
+        Whole id columns are tested first; the pairs are walked only to
+        name the first corrupt one.
+        """
         if not self.validate_results:
             return
+        pairs = PairColumns.from_pairs(pairs)
         probe_ids = frozenset(rec.rid for rec in task.probes)
+        if probe_ids.issuperset(pairs.r_ids) and task.s_ids.issuperset(pairs.s_ids):
+            return
         for r_id, s_id in pairs:
             if r_id not in probe_ids or s_id not in task.s_ids:
                 stats.extras[f"corrupt_{self.noun}s"] += 1
@@ -460,8 +453,7 @@ class Supervisor:
             self._start_clock(task)
             return
         if status == "ok":
-            r_ids, s_ids, task_stats = payload
-            pairs = list(zip(r_ids, s_ids))
+            pairs, task_stats = payload
             try:
                 self.check(task, pairs, stats)
             except WorkerError as corrupt:

@@ -70,7 +70,7 @@ class Relation:
         RelationError: If two records share an id.
     """
 
-    __slots__ = ("_records", "_by_id", "name", "_stats", "_fingerprint")
+    __slots__ = ("_records", "_by_id", "name", "_stats", "_fingerprint", "_ids_fit_int64")
 
     def __init__(self, records: Iterable[SetRecord], name: str = "") -> None:
         self._records: tuple[SetRecord, ...] = tuple(records)
@@ -81,6 +81,8 @@ class Relation:
         self._stats = None
         # Memoized content hash; see fingerprint().
         self._fingerprint: str | None = None
+        # Memoized; see ids_fit_int64().
+        self._ids_fit_int64: bool | None = None
         for rec in self._records:
             if rec.rid in self._by_id:
                 raise RelationError(f"duplicate record id {rec.rid} in relation {name!r}")
@@ -163,6 +165,19 @@ class Relation:
     def ids(self) -> tuple[int, ...]:
         """All record ids in insertion order."""
         return tuple(rec.rid for rec in self._records)
+
+    def ids_fit_int64(self) -> bool:
+        """Whether every record id fits a signed 64-bit int.
+
+        Join output then travels as ``array('q')`` id columns
+        (:class:`~repro.core.base.PairColumns`).  Memoized.
+        """
+        fits = self._ids_fit_int64
+        if fits is None:
+            ids = self._by_id
+            fits = not ids or (-(1 << 63) <= min(ids) and max(ids) < 1 << 63)
+            self._ids_fit_int64 = fits
+        return fits
 
     def domain(self) -> frozenset[int]:
         """The union of all set values (the *active* domain)."""

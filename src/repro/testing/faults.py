@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 from typing import Iterator
 
-from repro.core.base import JoinResult, JoinStats, PreparedIndex
+from repro.core.base import JoinResult, JoinStats, PairColumns, PreparedIndex
 from repro.errors import InjectedFaultError
 from repro.relations.relation import Relation, SetRecord
 
@@ -244,7 +244,8 @@ class CorruptingIndex(FaultyIndex):
 
     def _tamper(self, result: JoinResult) -> JoinResult:
         if self.trigger.fire():
-            result.pairs.append((self.alien_id, self.alien_id))
+            alien = PairColumns.from_pairs([(self.alien_id, self.alien_id)])
+            result.pairs = PairColumns.concat([result.pairs, alien])
         return result
 
 

@@ -550,18 +550,12 @@ class PatriciaTrie:
                 stack.append(node.left)   # type: ignore[arg-type]
 
     def node_count(self) -> int:
-        """Total nodes — at most ``2 * leaf_count - 1`` (Sec. III-C1)."""
-        if self.root is None:
-            return 0
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                stack.append(node.left)   # type: ignore[arg-type]
-                stack.append(node.right)  # type: ignore[arg-type]
-        return count
+        """Total nodes: ``2 * leaf_count - 1`` (Sec. III-C1), 0 when empty.
+
+        Every internal node has two children (:meth:`check_invariants`),
+        so the count follows from the leaves without a walk.
+        """
+        return 2 * self.leaf_count - 1 if self.leaf_count else 0
 
     def height(self) -> int:
         """Maximum number of nodes on a root-to-leaf path."""
@@ -586,15 +580,21 @@ class PatriciaTrie:
         * Branch bits match child sides (left starts 0, right starts 1).
         * Cached ``shift``/``mask`` agree with the segment bounds.
         * Leaf ``signature`` equals the concatenation of prefixes on its path.
+        * :meth:`node_count` and ``leaf_count`` equal the nodes and leaves
+          a walk finds.
 
         Raises:
             TrieError: On the first violated invariant.
         """
         if self.root is None:
+            if self.leaf_count:
+                raise TrieError(f"empty trie with leaf_count {self.leaf_count}")
             return
+        nodes = leaves = 0
         stack: list[tuple[PatriciaNode, int, int]] = [(self.root, 0, 0)]
         while stack:
             node, start, acc = stack.pop()
+            nodes += 1
             if node.start != start:
                 raise TrieError(f"segment start {node.start} != expected {start}")
             if node.prefix >> node.width:
@@ -611,6 +611,7 @@ class PatriciaTrie:
                     raise TrieError(
                         f"leaf signature 0x{node.signature:x} != path bits 0x{acc:x}"
                     )
+                leaves += 1
             else:
                 if node.left is None or node.right is None:
                     raise TrieError("internal node with a missing child (single branch)")
@@ -622,3 +623,7 @@ class PatriciaTrie:
                     raise TrieError("child branch bits do not match sides")
                 stack.append((node.left, node.stop, acc))
                 stack.append((node.right, node.stop, acc))
+        if leaves != self.leaf_count:
+            raise TrieError(f"leaf_count {self.leaf_count} != {leaves} leaves walked")
+        if nodes != self.node_count():
+            raise TrieError(f"node_count() {self.node_count()} != {nodes} nodes walked")

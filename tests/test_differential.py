@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
@@ -28,7 +29,14 @@ from repro.core.registry import (
     plan,
     set_containment_join,
 )
-from repro.exec import ParallelJoin, ResilientParallelJoin, RetryPolicy
+from repro.exec import (
+    DiskPartitionedJoin,
+    ParallelJoin,
+    ResilientParallelJoin,
+    RetryPolicy,
+    ShardedJoin,
+)
+from repro.extensions import equality_join, jaccard_join, similarity_join, superset_join
 from repro.kernels import available_backends, use_backend
 from repro.obs import Tracer, use
 from repro.planner import Workload
@@ -303,3 +311,94 @@ def test_edge_relations(name, kernel_backend):
         single_empty, build_relation([frozenset()], start_id=500)
     )
     assert set(both_empty_sets.pairs) == {(0, 500)}
+
+
+# ----------------------------------------------------------------------
+# Ids beyond int64: every producer falls back to list columns
+# ----------------------------------------------------------------------
+#: Ids far outside int64.  Output columns are ``array('q')`` only when
+#: every id fits; these force the list fallback in every producer.
+BIG = 2**70
+
+
+def wide_pair(seed_r: int, seed_s: int):
+    """(r, s) with small ids, and the same relations with ids shifted
+    monotonically beyond int64 (R up by ``BIG``, S down to ``-BIG``).
+
+    A monotonic shift keeps every id-order decision, so each producer
+    must emit the shifted pairs in exactly the small-id order.
+    """
+    from .conftest import random_relation
+
+    r = random_relation(40, 9, 30, seed=seed_r)
+    s = random_relation(40, 5, 30, seed=seed_s)
+    wide_r = Relation([SetRecord(BIG + rec.rid, rec.elements) for rec in r])
+    wide_s = Relation([SetRecord(rec.rid - BIG, rec.elements) for rec in s])
+    return (r, s), (wide_r, wide_s)
+
+
+def assert_shifted(small, wide, r, s) -> None:
+    """``wide`` is ``small`` with every id shifted, in the same order."""
+    assert list(wide.pairs) == [(r_id + BIG, s_id - BIG) for r_id, s_id in small.pairs]
+    assert set(small.pairs) == oracle(r, s)
+    assert type(wide.pairs.r_ids) is list and type(wide.pairs.s_ids) is list
+    assert wide.stats.pairs == small.stats.pairs
+
+
+@pytest.mark.parametrize("name", ALL_ALGORITHMS)
+def test_ids_beyond_int64_match_oracle(name, kernel_backend):
+    (r, s), (wide_r, wide_s) = wide_pair(41, 42)
+    assert_shifted(make_algorithm(name).join(r, s),
+                   make_algorithm(name).join(wide_r, wide_s), r, s)
+    small_index = make_algorithm(name).prepare(s, probe_hint=r)
+    wide_index = make_algorithm(name).prepare(wide_s, probe_hint=wide_r)
+    # Two batches per index: one of the server's 16 records, then the rest.
+    for lo, hi in ((0, 16), (16, 40)):
+        batch = Relation(r.records[lo:hi])
+        wide_batch = Relation(wide_r.records[lo:hi])
+        small = small_index.probe_many(batch)
+        wide = wide_index.probe_many(wide_batch)
+        assert list(wide.pairs) == [(a + BIG, b - BIG) for a, b in small.pairs]
+        assert set(small.pairs) == oracle(batch, s)
+
+
+@pytest.mark.parametrize(
+    "executor",
+    [
+        lambda: ParallelJoin(algorithm="pretti+", workers=1, chunks=3),
+        lambda: ShardedJoin(algorithm="pretti+", workers=1, shards=3),
+        lambda: DiskPartitionedJoin(algorithm="ptsj", max_tuples=16),
+        lambda: ResilientParallelJoin(algorithm="pretti", workers=2, chunks=3,
+                                      start_method=START_METHOD),
+        lambda: ShardedJoin(algorithm="ptsj", workers=2, shards=2,
+                            start_method=START_METHOD),
+    ],
+    ids=["parallel-inline", "sharded-inline", "disk", "resilient", "sharded"],
+)
+def test_executor_ids_beyond_int64_match_oracle(executor):
+    (r, s), (wide_r, wide_s) = wide_pair(43, 44)
+    assert_shifted(executor().join(r, s), executor().join(wide_r, wide_s), r, s)
+
+
+@pytest.mark.parametrize(
+    "join",
+    [
+        superset_join,
+        equality_join,
+        partial(similarity_join, threshold=2),
+        partial(jaccard_join, threshold=0.5),
+    ],
+    ids=["superset", "equality", "hamming", "jaccard"],
+)
+def test_extension_ids_beyond_int64(join):
+    """The Sec. III-E joins build their pairs as lists of tuples."""
+    (r, s), (wide_r, wide_s) = wide_pair(45, 46)
+    # Copies of S's sets in R give every join some output.
+    copies = [SetRecord(100 + rec.rid, rec.elements) for rec in s.records[:10]]
+    r = Relation([*r.records, *copies])
+    wide_r = Relation([*wide_r.records, *(SetRecord(BIG + c.rid, c.elements) for c in copies)])
+    small, wide = join(r, s), join(wide_r, wide_s)
+    assert len(small.pairs) > 0
+    assert list(wide.pairs) == [(a + BIG, b - BIG) for a, b in small.pairs]
+    assert type(wide.pairs.r_ids) is list
+    assert wide.stats.pairs == small.stats.pairs

@@ -34,6 +34,7 @@ from repro.errors import (
     DeadlineExceededError,
 )
 from repro.core.pretti_plus import PRETTIPlus
+from repro.core.registry import make_algorithm
 from repro.core.ptsj import PTSJ
 from repro.governance import CancelToken, Deadline, GovernancePolicy, govern
 from repro.kernels import available_backends, use_backend
@@ -319,10 +320,21 @@ def test_governed_pretti_plus_build_ticks_once_per_s_record(grouped_build_spy):
     s = random_relation(300, 5, 60, seed=713)
     token = CountdownCancelToken(after_checks=len(s) + 2)
     with govern(GovernancePolicy(cancel=token, poll_interval=1)):
-        PRETTIPlus().prepare(s)
+        index = PRETTIPlus().prepare(s)
     # One poll per S record while grouping, then the build-boundary poll.
+    assert index.build_extras["deadline_polls"] == len(s)
     assert token.checks == len(s) + 1
     assert grouped_build_spy["entered"] == 1
+
+
+@pytest.mark.parametrize("name", ["pretti", "nested-loop"])
+def test_governed_baseline_build_records_its_polls(name):
+    s = random_relation(300, 5, 60, seed=714)
+    token = CountdownCancelToken(after_checks=len(s) + 2)
+    with govern(GovernancePolicy(cancel=token, poll_interval=1)):
+        index = make_algorithm(name).prepare(s)
+    assert index.build_extras["deadline_polls"] == len(s)
+    assert token.checks == len(s) + 1
 
 
 @pytest.mark.parametrize("fault", ["deadline", "cancel"])

@@ -33,11 +33,11 @@ import threading
 import pytest
 
 from repro.core.base import JoinStats
+from repro.core.registry import available_algorithms
 from repro.datagen.realworld import make_surrogate
 from repro.errors import AlgorithmError, InjectedFaultError, WorkerError
 from repro.exec.merge import merge_stats
 from repro.exec.parallel import ParallelJoin, parallel_join
-from repro.exec.supervisor import _columns
 from repro.relations.relation import Relation, SetRecord
 from repro.testing.faults import CrashingIndex, DyingIndex, FaultTrigger
 from tests.conftest import oracle_pairs, random_relation
@@ -180,7 +180,7 @@ def test_reply_larger_than_pipe_buffer_completes():
     result = assert_matches_reference(executor, r, s)
     # The child's half of the pairs really is bigger than a pipe buffer.
     child_pairs = result.pairs[len(result.pairs) // 2:]
-    assert len(pickle.dumps(_columns(child_pairs))) > 2 * PIPE_BUFFER_BYTES
+    assert len(pickle.dumps(child_pairs)) > 2 * PIPE_BUFFER_BYTES
 
 
 def test_ids_beyond_int64_travel_home():
@@ -190,6 +190,22 @@ def test_ids_beyond_int64_travel_home():
     executor = ParallelJoin(algorithm="ptsj", workers=2, chunks=2, start_method=START_METHOD)
     result = assert_matches_reference(executor, r, s)
     assert set(result.pairs) == oracle_pairs(r, s)
+
+
+@pytest.mark.parametrize("algorithm", available_algorithms())
+def test_every_algorithm_brings_ids_beyond_int64_home(algorithm):
+    """Each child's list columns (ids beyond int64) concatenate with the
+    parent's, in chunk order, for every algorithm's probe."""
+    big = 2**70
+    base_r = random_relation(40, 8, 30, seed=61)
+    base_s = random_relation(40, 4, 30, seed=62)
+    r = Relation([SetRecord(big + rec.rid, rec.elements) for rec in base_r])
+    s = Relation([SetRecord(rec.rid - big, rec.elements) for rec in base_s])
+    executor = ParallelJoin(algorithm=algorithm, workers=2, chunks=3, start_method=START_METHOD)
+    result = assert_matches_reference(executor, r, s)
+    assert type(result.pairs.r_ids) is list
+    assert set(result.pairs) == oracle_pairs(r, s)
+    assert result.pairs
 
 
 # ----------------------------------------------------------------------

@@ -88,6 +88,14 @@ class TestConstruction:
         trie = build(64, sigs)
         assert trie.node_count() <= 2 * len(trie) - 1
 
+    def test_invariants_catch_a_stale_leaf_count(self):
+        # node_count() is derived from leaf_count, so the walk in
+        # check_invariants is what catches a count that drifted.
+        trie = build(8, [1, 2, 3])
+        trie.leaf_count += 1
+        with pytest.raises(TrieError, match="leaf_count"):
+            trie.check_invariants()
+
     def test_all_ones_and_zero(self):
         trie = PatriciaTrie(16)
         trie.insert(0).append("zero")

@@ -266,6 +266,38 @@ class TestHybridWalk:
         assert walk_signature(hybrid) == walk_signature(lists)
         assert hybrid.pairs
 
+    @pytest.mark.parametrize("layout", ["dense", "beyond-int64"])
+    def test_sixteen_record_batches_match_per_record_probes(self, backend, layout):
+        """The serve path: 16-record R batches, where the sparse bound is 0
+        and candidates stay bitsets until they empty."""
+        s = random_relation(300, 4, 30, seed=99)
+        base = random_relation(160, 9, 30, seed=100)
+        shift = 2**70 if layout == "beyond-int64" else 0
+        r = Relation([SetRecord(rec.rid + shift, rec.elements) for rec in base])
+        assert pretti_plus.sparse_bound(16) == 0
+        with use_backend(backend):
+            index = PRETTIPlus().prepare(s)
+            for lo in range(0, len(r), 16):
+                batch = Relation(r.records[lo:lo + 16])
+                pairs = list(index.probe_many(batch).pairs)
+                assert by_probe_record(pairs, batch) == per_record_pairs(index, batch)
+                assert set(pairs) == oracle_pairs(batch, s)
+
+
+def by_probe_record(pairs, r: Relation) -> list[tuple[int, int]]:
+    """``pairs`` stably regrouped by their R record's position in ``r``."""
+    position = {rec.rid: i for i, rec in enumerate(r)}
+    return sorted(pairs, key=lambda pair: position[pair[0]])
+
+
+def per_record_pairs(index, r: Relation) -> list[tuple[int, int]]:
+    """The pairs one streaming ``probe()`` per R record emits, in order.
+
+    The batch walk and each per-record walk visit children in the same
+    order, so regrouping the batch's pairs by R record must give these.
+    """
+    return [(rec.rid, s_id) for rec in r for s_id in index.probe(rec)]
+
 
 class TestMemoryObjects:
     def test_counts_every_bitset_the_walk_can_build(self):
