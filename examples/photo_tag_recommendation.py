@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro import set_containment_join
+from repro import plan, set_containment_join
 from repro.bench.reporting import fmt_seconds, format_table
 from repro.datagen.realworld import flickr_surrogate
 from repro.relations import compute_stats
@@ -30,7 +30,7 @@ def main() -> None:
     photos = flickr_surrogate(size=SIZE, seed=42)
     stats = compute_stats(photos)
     print(f"photo collection: {stats.as_table_row()}")
-    print(f"regime rule recommends: {stats.recommended_algorithm()}")
+    print(f"planner picks: {plan(photos, photos).algorithm}")
 
     # Self-join: photo A recommends photo B when tags(A) >= tags(B).
     result = set_containment_join(photos, photos, algorithm="auto")

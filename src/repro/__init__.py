@@ -49,7 +49,6 @@ from repro.core import (
     PRETTIPlus,
     SetContainmentJoin,
     available_algorithms,
-    choose_algorithm_name,
     make_algorithm,
     prepare_index,
     set_containment_join,
@@ -99,7 +98,6 @@ __all__ = [
     # registry
     "ALGORITHMS",
     "available_algorithms",
-    "choose_algorithm_name",
     "make_algorithm",
     "prepare_index",
     "set_containment_join",

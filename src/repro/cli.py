@@ -324,11 +324,13 @@ def _read_dataset(path: str, on_error: str):
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    stats = compute_stats(_read_dataset(args.path, args.on_error))
+    relation = _read_dataset(args.path, args.on_error)
+    stats = compute_stats(relation)
     rows = [[key, value] for key, value in stats.as_table_row().items()]
     rows.append(["c min/max", f"{stats.min_cardinality}/{stats.max_cardinality}"])
     rows.append(["duplicate sets", stats.duplicate_sets])
-    rows.append(["recommended", stats.recommended_algorithm()])
+    # The algorithm "auto" would index this relation with.
+    rows.append(["recommended", plan_join(None, relation).algorithm])
     print(reporting.format_table(["statistic", "value"], rows, title=args.path))
     return 0
 
@@ -513,12 +515,14 @@ def _cmd_join(args: argparse.Namespace) -> int:
 
 
 def _run_executor(args: argparse.Namespace, r, s, algorithm: str, kwargs: dict):
-    """Run the executor ``--executor`` names, configured from the CLI flags."""
-    from repro.core.registry import choose_algorithm_name
+    """Run the executor ``--executor`` names, configured from the CLI flags.
+
+    The algorithm comes from a plan, so ``auto`` resolves as on every
+    other entry point and an alias runs under its registry name.
+    """
     from repro.exec import RetryPolicy, executor_class
 
-    if algorithm.strip().lower() == "auto":
-        algorithm = choose_algorithm_name(s)
+    algorithm = plan_join(r, s, algorithm=algorithm, **kwargs).algorithm
     options: dict = {}
     if args.executor in ("parallel", "resilient", "sharded"):
         options["workers"] = args.workers

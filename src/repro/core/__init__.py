@@ -19,7 +19,6 @@ from repro.core.validation import ValidationReport, verify_join_result
 from repro.core.registry import (
     ALGORITHMS,
     available_algorithms,
-    choose_algorithm_name,
     make_algorithm,
     prepare_index,
     set_containment_join,
@@ -39,7 +38,6 @@ __all__ = [
     "PRETTIPlus",
     "ALGORITHMS",
     "available_algorithms",
-    "choose_algorithm_name",
     "make_algorithm",
     "prepare_index",
     "set_containment_join",

@@ -10,13 +10,15 @@ that are also public on their own:
   :class:`~repro.planner.plan.Plan`;
 * :func:`execute_plan` — run that plan.
 
-``"auto"`` still applies the paper's guidance (Sec. V-C3/V-C5): PRETTI+
-for low set-cardinality data, PTSJ otherwise, decided on the *median*
+``"auto"`` applies the paper's guidance (Sec. V-C3/V-C5): PRETTI+ for
+low set-cardinality data, PTSJ otherwise, decided on the *median*
 cardinality because skewed cardinality distributions make the average
-misleading (Sec. V-C5) — the planner's automatic choice is regime-gated
-exactly on that rule, with the full cost-model evidence attached to the
-plan.  Naming an algorithm explicitly produces a *pinned* plan whose
-execution path is byte-for-byte the classic
+misleading (Sec. V-C5).  The rule lives in one place, the planner's
+algorithm decision, and every entry point that resolves ``"auto"`` —
+the one-shot join, :func:`prepare_index`, the join server and the CLI —
+takes its algorithm from a :func:`plan`, with the full cost-model
+evidence attached.  Naming an algorithm explicitly produces a *pinned*
+plan whose execution path is byte-for-byte the classic
 ``make_algorithm(name, **kwargs).join(r, s)``, so explicit calls keep
 bit-for-bit identical results and :class:`~repro.core.base.JoinStats`.
 
@@ -50,7 +52,6 @@ __all__ = [
     "execute_plan",
     "set_containment_join",
     "prepare_index",
-    "choose_algorithm_name",
 ]
 
 #: Registry of algorithms: public name -> ``(module path, class name)``.
@@ -120,11 +121,6 @@ def cost_profile(name: str) -> CostProfile:
         AlgorithmError: For an unknown name.
     """
     return COST_PROFILES[canonical_name(name)]
-
-
-def choose_algorithm_name(s: Relation) -> str:
-    """The paper's regime rule, on the indexed relation's statistics."""
-    return compute_stats(s).recommended_algorithm()
 
 
 def plan(

@@ -22,13 +22,9 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.analysis.sanitizer import maybe_check_patricia_trie
 from repro.core.base import CandidateGroup
-from repro.core.framework import build_patricia, insert_into_groups
+from repro.core.framework import insert_into_groups
 from repro.errors import AlgorithmError
-from repro.kernels import get_backend
 from repro.relations.relation import Relation
-from repro.relations.stats import compute_stats
-from repro.signatures.hashing import ModuloScheme, SignatureScheme
-from repro.signatures.length import SignatureLengthStrategy
 from repro.tries.patricia import PatriciaTrie
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,36 +36,25 @@ __all__ = ["PatriciaSetIndex", "build_patricia_index"]
 class PatriciaSetIndex:
     """Patricia-trie signature index over one set-valued relation.
 
+    The index is PTSJ's own: built by ``PTSJ(bits=bits).prepare``, the
+    same path as :func:`build_patricia_index`.
+
     Args:
         relation: The relation to index.
         bits: Signature length; ``None`` applies the Sec. III-D strategy to
             the relation's own statistics.
-        scheme_factory: Signature hash scheme (default ``x mod b``).
-        length_strategy: Alternative Sec. III-D parameterisation.
 
     Raises:
         AlgorithmError: If the relation is empty and no explicit ``bits``
             is given (no statistics to derive a length from).
     """
 
-    def __init__(
-        self,
-        relation: Relation,
-        bits: int | None = None,
-        scheme_factory: type[SignatureScheme] = ModuloScheme,
-        length_strategy: SignatureLengthStrategy | None = None,
-    ) -> None:
-        if bits is None:
-            if len(relation) == 0:
-                raise AlgorithmError("cannot derive a signature length from an empty relation")
-            strategy = length_strategy or SignatureLengthStrategy()
-            bits = strategy.choose_for_stats(compute_stats(relation))
-        self.scheme = scheme_factory(bits)
-        signatures = self.scheme.signatures([rec.elements for rec in relation], get_backend())
-        self.trie = build_patricia(relation, signatures, bits)
+    def __init__(self, relation: Relation, bits: int | None = None) -> None:
+        prepared = _prepare_ptsj(relation, bits)
+        self.scheme = prepared.scheme
+        self.trie = prepared.trie
         self.relation = relation
         self._size = len(relation)
-        maybe_check_patricia_trie(self.trie)
 
     @classmethod
     def from_prepared(cls, prepared: "SignaturePreparedIndex") -> "PatriciaSetIndex":
@@ -213,9 +198,14 @@ def build_patricia_index(
         AlgorithmError: If the relation is empty and no explicit ``bits``
             is given (no statistics to derive a length from).
     """
+    prepared = _prepare_ptsj(s, bits)
+    return PatriciaSetIndex.from_prepared(prepared), prepared.build_seconds
+
+
+def _prepare_ptsj(s: Relation, bits: int | None) -> "SignaturePreparedIndex":
+    """``PTSJ(bits=bits).prepare(s)``, refusing to size signatures from nothing."""
     if bits is None and len(s) == 0:
         raise AlgorithmError("cannot derive a signature length from an empty relation")
     from repro.core.ptsj import PTSJ
 
-    prepared = PTSJ(bits=bits).prepare(s)
-    return PatriciaSetIndex.from_prepared(prepared), prepared.build_seconds
+    return PTSJ(bits=bits).prepare(s)  # type: ignore[return-value]

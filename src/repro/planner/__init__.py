@@ -18,7 +18,6 @@ package; see ``docs/PLANNER.md`` for the decision table and cost model.
 from repro.planner.executor import execute_plan, policy_from_workload, prepare_from_plan
 from repro.planner.plan import (
     EXECUTORS,
-    JOIN_VARIANTS,
     WORKLOAD_MODES,
     Alternative,
     CostEstimate,
@@ -46,7 +45,6 @@ __all__ = [
     "AUTO_CANDIDATES",
     "EXECUTORS",
     "WORKLOAD_MODES",
-    "JOIN_VARIANTS",
     "cost_profile",
     "estimate_cost",
     "execute_plan",

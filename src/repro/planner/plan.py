@@ -30,7 +30,6 @@ __all__ = [
     "Plan",
     "EXECUTORS",
     "WORKLOAD_MODES",
-    "JOIN_VARIANTS",
 ]
 
 #: Executors a plan may select (see ``docs/PLANNER.md`` for the mapping).
@@ -38,9 +37,6 @@ EXECUTORS = ("inline", "parallel", "resilient", "disk", "sharded")
 
 #: Workload shapes the planner distinguishes.
 WORKLOAD_MODES = ("oneshot", "probe_many")
-
-#: Join variants the planner accepts (extensions share the PTSJ index).
-JOIN_VARIANTS = ("containment", "superset", "equality", "similarity")
 
 
 @dataclass(frozen=True)
@@ -59,8 +55,6 @@ class Workload:
             the partition-parallel executors.
         fault_tolerance: Prefer the resilient executor (per-chunk retry,
             timeout, fallback) whenever a worker pool is used.
-        variant: Join variant (``containment`` is the R ⋈⊇ S join; the
-            Sec. III-E extensions reuse the same prepared Patricia index).
         shards: Requested S-shard count for the scale-out executor;
             ``None`` (default) lets the planner decide whether sharding
             pays off at all.  Setting it selects the sharded executor for
@@ -82,7 +76,6 @@ class Workload:
     memory_budget_tuples: int | None = None
     workers: int = 1
     fault_tolerance: bool = False
-    variant: str = "containment"
     shards: int | None = None
     deadline_seconds: float | None = None
     max_memory_bytes: int | None = None
@@ -99,8 +92,6 @@ class Workload:
 
         if self.mode not in WORKLOAD_MODES:
             raise PlanError(f"unknown workload mode {self.mode!r}; expected one of {WORKLOAD_MODES}")
-        if self.variant not in JOIN_VARIANTS:
-            raise PlanError(f"unknown join variant {self.variant!r}; expected one of {JOIN_VARIANTS}")
         validate_probe_batches(self.probe_batches)
         validate_workers(self.workers)
         validate_shards(self.shards)
@@ -116,7 +107,6 @@ class Workload:
             "memory_budget_tuples": self.memory_budget_tuples,
             "workers": self.workers,
             "fault_tolerance": self.fault_tolerance,
-            "variant": self.variant,
             "shards": self.shards,
             "deadline_seconds": self.deadline_seconds,
             "max_memory_bytes": self.max_memory_bytes,

@@ -5,14 +5,16 @@ for both relations (never the records themselves — planning is O(1) once
 statistics exist) plus a :class:`~repro.planner.plan.Workload` hint, and
 emits an immutable :class:`~repro.planner.plan.Plan` with four decisions:
 
-1. **algorithm** — which registry algorithm runs.  Every algorithm with a
-   :class:`~repro.planner.profiles.CostProfile` is costed at this
-   workload; automatic choice is regime-gated cost selection: only the
-   paper's two production algorithms (PTSJ, PRETTI+) are auto-eligible,
-   and the boundary between them follows the empirically validated regime
-   rule (median cardinality vs. 2^5, Sec. V-C3/V-C5).  When the model
-   units disagree with the regime rule, the plan says so instead of
-   hiding it.
+1. **algorithm** — which registry algorithm runs.  Every registry
+   algorithm has a :class:`~repro.planner.profiles.CostProfile` and is
+   costed at this workload; automatic choice is regime-gated cost
+   selection: only the paper's two production algorithms (PTSJ, PRETTI+)
+   are auto-eligible, and the boundary between them follows the
+   empirically validated regime rule (median cardinality vs. 2^5,
+   Sec. V-C3/V-C5).  This is the only code that picks an algorithm: every
+   entry point that resolves ``"auto"`` takes its algorithm from a plan.
+   When the model units disagree with the regime rule, the plan says so
+   instead of hiding it.
 2. **signature** — the Sec. III-D length ``b`` the signature algorithms
    will derive, annotated with :func:`~repro.signatures.cost_model.
    estimate_ptsj_cost` evaluations at ``b`` and at the rejected
@@ -49,8 +51,13 @@ __all__ = ["Planner"]
 #: The auto-selection candidates: the paper's two production algorithms.
 AUTO_CANDIDATES = ("ptsj", "pretti+")
 
-#: The Sec. V-C3 regime boundary on the *median* set cardinality.
+#: The Sec. V-C3 regime boundary on the *median* set cardinality: PRETTI+
+#: below it, PTSJ at or above it.  The only place the rule is stated.
 REGIME_MEDIAN_CARDINALITY = 32
+
+#: The Sec. III-D signature-length rule the signature decision applies
+#: (the paper's parameters, as the algorithms use by default).
+_LENGTH_STRATEGY = SignatureLengthStrategy()
 
 #: Deliberately pessimistic calibration of cost-model units to wall time,
 #: used only for deadline-feasibility screening: one model unit is one
@@ -61,26 +68,14 @@ REGIME_MEDIAN_CARDINALITY = 32
 #: authoritative bound.
 MODEL_UNITS_PER_SECOND = 1e6
 
-_EMPTY_STATS = RelationStats(0, 0.0, 0.0, 0, 0, 0, 0, 0)
-
 
 class Planner:
     """Plans set-containment joins from statistics and workload hints.
 
-    Args:
-        length_strategy: The Sec. III-D signature-length rule used for the
-            signature decision (defaults to the paper's parameters).
-        profiles: Cost-profile registry; defaults to the package's
-            :data:`~repro.planner.profiles.COST_PROFILES`.
+    Every registry algorithm has a profile in
+    :data:`~repro.planner.profiles.COST_PROFILES`, so every decision is
+    costed; signature lengths follow the paper's Sec. III-D parameters.
     """
-
-    def __init__(
-        self,
-        length_strategy: SignatureLengthStrategy | None = None,
-        profiles: dict[str, CostProfile] | None = None,
-    ) -> None:
-        self.length_strategy = length_strategy or SignatureLengthStrategy()
-        self.profiles = profiles if profiles is not None else COST_PROFILES
 
     # ------------------------------------------------------------------
     # Entry point
@@ -115,8 +110,6 @@ class Planner:
         tracer = current_tracer()
         with tracer.span("plan"):
             effective_r = r_stats if r_stats is not None else s_stats
-            if effective_r is None:  # pragma: no cover - s_stats is required
-                effective_r = _EMPTY_STATS
             bits = self._signature_bits(r_stats, s_stats, kwargs)
             algo_decision = self._decide_algorithm(
                 effective_r, s_stats, workload, bits, algorithm
@@ -155,14 +148,6 @@ class Planner:
     # ------------------------------------------------------------------
     # Decision: algorithm
     # ------------------------------------------------------------------
-    def _estimate(
-        self, name: str, r: RelationStats, s: RelationStats, bits: int
-    ) -> CostEstimate | None:
-        profile = self.profiles.get(name)
-        if profile is None:
-            return None
-        return profile.estimate(r, s, bits)
-
     def _decide_algorithm(
         self,
         r: RelationStats,
@@ -173,27 +158,28 @@ class Planner:
     ) -> Decision:
         estimates = {
             name: profile.estimate(r, s, bits)
-            for name, profile in self.profiles.items()
+            for name, profile in COST_PROFILES.items()
         }
         if pinned is not None:
             return Decision(
                 name="algorithm",
                 choice=pinned,
                 reason="pinned by caller; planner records but does not second-guess it",
-                cost=estimates.get(pinned),
+                cost=estimates[pinned],
                 rejected=(),
                 detail=(("median_cardinality", s.median_cardinality),),
             )
 
-        regime_pick = s.recommended_algorithm()
+        # Median, not mean: Sec. V-C5 warns that skewed cardinality makes
+        # the average misleading.
         median = s.median_cardinality
-        comparison = "<" if median < REGIME_MEDIAN_CARDINALITY else ">="
+        low = median < REGIME_MEDIAN_CARDINALITY
+        chosen = "pretti+" if low else "ptsj"
         regime_reason = (
             f"regime rule (Sec. V-C3/V-C5): median |s.set| = {median:g} "
-            f"{comparison} {REGIME_MEDIAN_CARDINALITY}"
+            f"{'<' if low else '>='} {REGIME_MEDIAN_CARDINALITY}"
         )
-        chosen = regime_pick
-        chosen_cost = estimates.get(chosen)
+        chosen_cost = estimates[chosen]
 
         rejected: list[Alternative] = []
         runner_up = next(name for name in AUTO_CANDIDATES if name != chosen)
@@ -201,10 +187,10 @@ class Planner:
             Alternative(
                 choice=runner_up,
                 reason=f"{regime_reason} favours {chosen}",
-                cost=estimates.get(runner_up),
+                cost=estimates[runner_up],
             )
         )
-        for name, profile in self.profiles.items():
+        for name, profile in COST_PROFILES.items():
             if name in AUTO_CANDIDATES:
                 continue
             rejected.append(
@@ -219,14 +205,13 @@ class Planner:
              if s.cardinality_skew != float("inf") else "inf"),
             ("model_cheapest", model_pick),
         ]
-        if workload.mode == "probe_many" and chosen_cost is not None:
+        if workload.mode == "probe_many":
             amortised = chosen_cost.build + workload.probe_batches * chosen_cost.probe
             detail.append(("amortised_cost", round(amortised, 3)))
         return Decision(
             name="algorithm",
             choice=chosen,
-            reason=f"{regime_reason}; model cost {chosen_cost.total:.3g}"
-            if chosen_cost is not None else regime_reason,
+            reason=f"{regime_reason}; model cost {chosen_cost.total:.3g}",
             cost=chosen_cost,
             rejected=tuple(rejected),
             detail=tuple(detail),
@@ -251,7 +236,7 @@ class Planner:
         explicit = kwargs.get("bits")
         if explicit is not None:
             return int(explicit)
-        return self.length_strategy.choose_for_stats(s, r)
+        return _LENGTH_STRATEGY.choose_for_stats(s, r)
 
     def _decide_signature(
         self,
@@ -261,8 +246,8 @@ class Planner:
         bits: int,
         kwargs: dict,
     ) -> Decision:
-        profile = self.profiles.get(algorithm)
-        if profile is not None and not profile.uses_signature:
+        profile = COST_PROFILES[algorithm]
+        if not profile.uses_signature:
             return Decision(
                 name="signature",
                 choice="none",
@@ -270,7 +255,7 @@ class Planner:
                        "results, no signature filter to size",
             )
         explicit = kwargs.get("bits")
-        cost_at = lambda b: self._estimate(algorithm, r, s, b)  # noqa: E731
+        cost_at = lambda b: profile.estimate(r, s, b)  # noqa: E731
         if explicit is not None:
             derived = self._signature_bits(r, s, {})
             return Decision(
@@ -306,8 +291,8 @@ class Planner:
                    "in-algorithm from the same statistics at build time",
             cost=cost_at(bits),
             rejected=tuple(neighbours),
-            detail=(("int_bits", self.length_strategy.int_bits),
-                    ("ratio", self.length_strategy.ratio)),
+            detail=(("int_bits", _LENGTH_STRATEGY.int_bits),
+                    ("ratio", _LENGTH_STRATEGY.ratio)),
         )
 
     # ------------------------------------------------------------------
@@ -336,24 +321,20 @@ class Planner:
         r: RelationStats,
         s: RelationStats,
         workload: Workload,
-        algo_cost: CostEstimate | None,
+        algo_cost: CostEstimate,
         algorithm: str,
         bits: int,
     ) -> tuple[Decision, str, dict]:
         budget = workload.memory_budget_tuples
         total_tuples = r.size + s.size
         scaled = None
-        if algo_cost is not None and workload.workers > 1:
+        if workload.workers > 1:
             scaled = CostEstimate(
                 build=algo_cost.build, probe=algo_cost.probe / workload.workers
             )
-        profile = self.profiles.get(algorithm)
+        profile = COST_PROFILES[algorithm]
         shards = self._shard_count(r, s, workload)
-        sharded_cost = (
-            profile.estimate_sharded(r, s, bits, shards, workload.workers)
-            if profile is not None
-            else None
-        )
+        sharded_cost = profile.estimate_sharded(r, s, bits, shards, workload.workers)
 
         if workload.mode == "probe_many":
             batches = workload.probe_batches
@@ -557,10 +538,10 @@ class Planner:
         r: RelationStats,
         s: RelationStats,
         workload: Workload,
-        algo_cost: CostEstimate | None,
-        profile: CostProfile | None,
+        algo_cost: CostEstimate,
+        profile: CostProfile,
         bits: int,
-        sharded_cost: CostEstimate | None,
+        sharded_cost: CostEstimate,
     ) -> tuple[Decision, str, dict]:
         """Pool or inline for a plain ``workers > 1`` one-shot join.
 
@@ -579,24 +560,6 @@ class Planner:
             ),
             Alternative("disk", "relations fit in memory"),
         )
-        if algo_cost is None or profile is None:
-            # No model to charge: the hint alone decides, as it always did.
-            return (
-                Decision(
-                    name="executor",
-                    choice="parallel",
-                    reason=f"{workers} workers hinted and no cost model to "
-                           "charge the pool against: probe chunks fanned out",
-                    rejected=(
-                        Alternative("inline", "single-process probing leaves "
-                                              "hinted workers idle"),
-                        *others,
-                    ),
-                    detail=(("workers", workers),),
-                ),
-                "parallel",
-                {"workers": workers},
-            )
         pairs = expected_pairs(r, s)
         pool_cost = profile.estimate_parallel(r, s, bits, workers, pairs)
         detail = (
@@ -716,9 +679,7 @@ class Planner:
     # ------------------------------------------------------------------
     # Decision: governance (only when a deadline is set)
     # ------------------------------------------------------------------
-    def _decide_governance(
-        self, workload: Workload, cost: CostEstimate | None
-    ) -> Decision:
+    def _decide_governance(self, workload: Workload, cost: CostEstimate) -> Decision:
         """Deadline-feasibility screening for the whole plan.
 
         The chosen algorithm's model-unit cost, converted through the
@@ -731,15 +692,14 @@ class Planner:
         """
         deadline = workload.deadline_seconds
         assert deadline is not None
-        estimated = cost.total / MODEL_UNITS_PER_SECOND if cost is not None else None
-        feasible = estimated is None or estimated <= deadline
+        estimated = cost.total / MODEL_UNITS_PER_SECOND
+        feasible = estimated <= deadline
         detail: list[tuple[str, object]] = [
             ("deadline_seconds", deadline),
             ("feasible", feasible),
+            ("estimated_seconds", round(estimated, 6)),
+            ("model_units_per_second", MODEL_UNITS_PER_SECOND),
         ]
-        if estimated is not None:
-            detail.append(("estimated_seconds", round(estimated, 6)))
-            detail.append(("model_units_per_second", MODEL_UNITS_PER_SECOND))
         if workload.max_memory_bytes is not None:
             detail.append(("max_memory_bytes", workload.max_memory_bytes))
         if not feasible:
@@ -750,13 +710,6 @@ class Planner:
                 "to start this plan"
             )
             choice = "infeasible"
-        elif estimated is None:
-            reason = (
-                f"{deadline:g}s deadline enforced at runtime only: no cost "
-                "model for the chosen algorithm, so feasibility cannot be "
-                "pre-screened"
-            )
-            choice = f"deadline {deadline:g}s"
         else:
             reason = (
                 f"model estimate ~{estimated:.3g}s fits the {deadline:g}s "

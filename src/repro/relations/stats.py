@@ -3,14 +3,14 @@
 Computes the dataset statistics that the paper reports in Table III and uses
 throughout: relation size ``|R|``, average and median set cardinality ``c``,
 and domain cardinality ``d``.  The statistics drive the signature-length
-selection strategy (Sec. III-D), the choice between PTSJ and PRETTI+
-(Sec. V-C3: PRETTI+ below ``c ~ 2^5``, PTSJ above) and the cost-based
-query planner (:mod:`repro.planner`).
+selection strategy (Sec. III-D) and the cost-based query planner
+(:mod:`repro.planner`), which also makes the choice between PTSJ and
+PRETTI+ (Sec. V-C3: PRETTI+ below a median ``c`` of 2^5, PTSJ above).
 
 Two layers of memoization keep repeated consultation cheap:
 
 * :func:`compute_stats` caches its result *on the relation object* — the
-  planner, the regime rule and reporting code can all ask for statistics
+  planner and reporting code can all ask for statistics
   without ever rescanning the records twice;
 * derived quantities on :class:`RelationStats` (skew, density, duplicate
   fraction, ...) are ``functools.cached_property`` values computed once on
@@ -135,23 +135,13 @@ class RelationStats:
         """``log2 |R|`` (0 for empty relations) — trie-height ballpark."""
         return math.log2(self.size) if self.size > 0 else 0.0
 
-    def recommended_algorithm(self) -> str:
-        """Pick PTSJ or PRETTI+ per the paper's guidance.
-
-        Sec. V-C3/V-C5: PRETTI+ wins for low set cardinality (below ~2^5);
-        PTSJ wins otherwise.  The paper stresses (Sec. V-C5) that skew on set
-        cardinality means the *median* matters more than the average, so the
-        decision uses the median.
-        """
-        return "pretti+" if self.median_cardinality < 32 else "ptsj"
-
 
 def compute_stats(relation: Relation) -> RelationStats:
     """Compute :class:`RelationStats` for ``relation``, memoized per relation.
 
     The first call scans the records once; the result is cached on the
-    relation object (relations are immutable), so the planner and the
-    regime rule can consult statistics repeatedly without rescanning.
+    relation object (relations are immutable), so the planner and
+    reporting code can consult statistics repeatedly without rescanning.
 
     Empty relations are reported with zero cardinalities rather than raising,
     so reporting code can run on degenerate inputs.

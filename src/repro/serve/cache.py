@@ -56,9 +56,10 @@ def index_key(
     The relation fingerprint pins the content; the algorithm name and the
     explicit signature length pin the build parameters — a PTSJ index at
     512 bits and one at 1024 bits are different residents.  ``algorithm``
-    must already be registry-canonical (the server resolves ``"auto"``
-    against the relation's statistics *before* keying, so auto and an
-    explicit pick of the same algorithm share an entry).
+    must already be registry-canonical: the server keys by its plan's
+    ``algorithm``, so ``"auto"`` is resolved by the planner *before*
+    keying and auto and an explicit pick of the same algorithm share an
+    entry.
 
     The key also pins the kernel backend the index would be packed with
     (the process default at key time): a resident index carries

@@ -44,7 +44,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Mapping
 
 from repro.analysis.concurrency import tracked_lock
-from repro.core.registry import canonical_name, choose_algorithm_name, plan
+from repro.core.base import JoinResult
+from repro.core.registry import plan
 from repro.errors import OverCapacityError, ProtocolError
 from repro.governance.deadline import Deadline
 from repro.governance.policy import (
@@ -416,32 +417,24 @@ class JoinServer:
                     f"unknown index handle {s_ref!r} (evicted, expired or "
                     "never built); resend the request with 's'"
                 )
-            result = index.probe_many(r)
-            return {
-                "pairs": sorted(result.pairs),
-                "pair_count": len(result.pairs),
-                "algorithm": _algorithm_of_key(s_ref),
-                "cache_hit": True,
-                "s_key": s_ref,
-            }
+            return _pairs_reply(
+                index.probe_many(r), _algorithm_of_key(s_ref), True, s_key=s_ref
+            )
         r, s, algorithm, bits = _join_inputs(frame)
-        resolved = (
-            choose_algorithm_name(s)
-            if algorithm.strip().lower() == "auto"
-            else canonical_name(algorithm)
-        )
         batches = frame.get("probe_batches", DEFAULT_PROBE_BATCHES)
         if not isinstance(batches, int) or isinstance(batches, bool):
             raise ProtocolError(
                 f"probe_batches must be an int, got {batches!r}"
             )
         workload = Workload(mode="probe_many", probe_batches=batches)
-        key = index_key(s, resolved, bits)
+        kwargs = {} if bits is None else {"bits": bits}
+        # The plan resolves "auto" before keying, so auto and an explicit
+        # pick of the same algorithm share one resident index.
+        query_plan = plan(None, s, algorithm=algorithm, workload=workload, **kwargs)
+        key = index_key(s, query_plan.algorithm, bits)
 
         def build():  # type: ignore[no-untyped-def]
-            kwargs = {} if bits is None else {"bits": bits}
             try:
-                query_plan = plan(None, s, algorithm=resolved, workload=workload, **kwargs)
                 return prepare_from_plan(query_plan, s)
             except TypeError as exc:
                 # Constructor rejected an option (e.g. bits on a non-
@@ -449,14 +442,7 @@ class JoinServer:
                 raise ProtocolError(f"invalid algorithm options: {exc}") from exc
 
         index, hit = self.cache.get_or_build(key, build)
-        result = index.probe_many(r)
-        return {
-            "pairs": sorted(result.pairs),
-            "pair_count": len(result.pairs),
-            "algorithm": resolved,
-            "cache_hit": hit,
-            "s_key": key,
-        }
+        return _pairs_reply(index.probe_many(r), query_plan.algorithm, hit, s_key=key)
 
     def _do_join(self, frame: Mapping[str, Any]) -> dict[str, Any]:
         """One-shot plan + execute; no index survives the request."""
@@ -471,12 +457,7 @@ class JoinServer:
             result = execute_plan(query_plan, r, s)
         except TypeError as exc:
             raise ProtocolError(f"invalid algorithm options: {exc}") from exc
-        return {
-            "pairs": sorted(result.pairs),
-            "pair_count": len(result.pairs),
-            "algorithm": query_plan.algorithm,
-            "cache_hit": False,
-        }
+        return _pairs_reply(result, query_plan.algorithm, False)
 
     def _stats_payload(self) -> dict[str, Any]:
         with self._inflight_lock:
@@ -495,8 +476,23 @@ class JoinServer:
 
 
 # ----------------------------------------------------------------------
-# Request field decoding helpers
+# Reply and request field helpers
 # ----------------------------------------------------------------------
+def _pairs_reply(
+    result: JoinResult, algorithm: str, cache_hit: bool, s_key: str | None = None
+) -> dict[str, Any]:
+    """The reply fields of a ``probe``/``join``: sorted pairs and their count."""
+    reply: dict[str, Any] = {
+        "pairs": sorted(result.pairs),
+        "pair_count": len(result.pairs),
+        "algorithm": algorithm,
+        "cache_hit": cache_hit,
+    }
+    if s_key is not None:
+        reply["s_key"] = s_key
+    return reply
+
+
 def _algorithm_of_key(key: str) -> str:
     """The algorithm segment of an :func:`~repro.serve.cache.index_key`."""
     parts = key.split("|")

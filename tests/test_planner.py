@@ -11,6 +11,7 @@ from repro.core.registry import (
     execute_plan,
     make_algorithm,
     plan,
+    prepare_index,
     set_containment_join,
 )
 from repro.errors import AlgorithmError, ExternalMemoryError, PlanError
@@ -155,6 +156,80 @@ class TestPlanSelection:
         empty = RelationStats(0, 0.0, 0.0, 0, 0, 0, 0, 0)
         p = Planner().plan(empty, empty)
         assert p.algorithm in AUTO_CANDIDATES
+
+
+# ----------------------------------------------------------------------
+# The algorithm rule (Sec. V-C3/V-C5), stated once, in the planner
+# ----------------------------------------------------------------------
+def _sets_of(*cardinalities: int) -> Relation:
+    """One set per cardinality, each a prefix of the same element range."""
+    return Relation.from_sets([set(range(c)) for c in cardinalities])
+
+
+class TestAlgorithmRule:
+    def test_low_cardinality_is_pretti_plus(self):
+        rel = Relation.from_sets([{1, 2, 3}] * 5)
+        assert plan(None, rel).algorithm == "pretti+"
+
+    def test_high_cardinality_is_ptsj(self):
+        rel = Relation.from_sets([set(range(100))] * 5)
+        assert plan(None, rel).algorithm == "ptsj"
+
+    def test_rule_uses_median_not_average(self):
+        """Sec. V-C5: skewed cardinality -> decide on the median."""
+        # One huge set inflates the average; the median stays small.
+        sets = [{1, 2} for _ in range(9)] + [set(range(1000))]
+        rel = Relation.from_sets(sets)
+        assert compute_stats(rel).avg_cardinality > 32
+        assert plan(None, rel).algorithm == "pretti+"
+
+    def test_boundary_is_median_32(self):
+        assert Planner().plan(None, make_stats(100, median_c=31.0)).algorithm == "pretti+"
+        assert Planner().plan(None, make_stats(100, median_c=32.0)).algorithm == "ptsj"
+        assert plan(None, _sets_of(31, 31, 31)).algorithm == "pretti+"
+        assert plan(None, _sets_of(32, 32, 32)).algorithm == "ptsj"
+
+
+class TestEntryPointParity:
+    """Every entry point that resolves ``auto`` agrees with the plan."""
+
+    @pytest.mark.parametrize("cardinalities,expected", [
+        ((30, 31, 31, 31, 40), "pretti+"),
+        ((20, 32, 32, 32, 33), "ptsj"),
+        ((2, 2, 2, 500, 900), "pretti+"),
+    ], ids=["median-31", "median-32", "skewed"])
+    def test_entry_points_pick_the_plans_algorithm(
+        self, tmp_path, capsys, cardinalities, expected
+    ):
+        from repro.cli import main
+        from repro.relations.io import write_relation
+        from repro.serve import JoinClient, JoinServer
+        from repro.serve.cache import index_key
+
+        s = _sets_of(*cardinalities)
+        r = _sets_of(35, 1000)
+        assert plan(None, s).algorithm == expected
+        assert set_containment_join(r, s).stats.algorithm == expected
+        assert prepare_index(s).algorithm == expected
+
+        with JoinServer(max_connections=2, cache_capacity=4) as srv:
+            with JoinClient(address=srv.address) as client:
+                auto = client.probe(r, s)
+                pinned = client.probe(r, s, algorithm=expected)
+        assert auto["algorithm"] == expected
+        assert auto["s_key"] == index_key(s, expected)
+        assert pinned["s_key"] == auto["s_key"] and pinned["cache_hit"] is True
+
+        r_path, s_path = tmp_path / "r.txt", tmp_path / "s.txt"
+        write_relation(r, r_path)
+        write_relation(s, s_path)
+        capsys.readouterr()
+        assert main(["join", str(r_path), str(s_path), "--executor", "inline"]) == 0
+        assert capsys.readouterr().out.startswith(f"{expected}: ")
+        assert main(["stats", str(s_path)]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("recommended"))
+        assert row.split("|")[1].strip() == expected
 
 
 # ----------------------------------------------------------------------
@@ -363,8 +438,7 @@ class TestSerialization:
         Workload(mode="probe_many", probe_batches=7),
         Workload(memory_budget_tuples=64),
         Workload(workers=3, fault_tolerance=True),
-        Workload(variant="similarity"),
-    ], ids=["oneshot", "probe_many", "budget", "resilient", "variant"])
+    ], ids=["oneshot", "probe_many", "budget", "resilient"])
     def test_plan_roundtrips_through_json(self, workload):
         p = Planner().plan(make_stats(1000), make_stats(1000), workload)
         assert Plan.from_json(p.to_json()) == p
@@ -392,11 +466,9 @@ class TestSerialization:
 # Workload validation and validator consistency (one message everywhere)
 # ----------------------------------------------------------------------
 class TestValidatorConsistency:
-    def test_workload_rejects_unknown_mode_and_variant(self):
+    def test_workload_rejects_unknown_mode(self):
         with pytest.raises(PlanError, match="unknown workload mode"):
             Workload(mode="batch")
-        with pytest.raises(PlanError, match="unknown join variant"):
-            Workload(variant="overlap")
 
     def test_workers_message_is_identical_everywhere(self):
         with pytest.raises(ValueError, match="workers must be positive, got 0") :
@@ -426,6 +498,14 @@ class TestValidatorConsistency:
 class TestCostProfiles:
     def test_every_registry_algorithm_has_a_profile(self):
         assert set(COST_PROFILES) == set(ALGORITHMS)
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_every_pinned_plan_is_costed(self, name):
+        workload = Workload(workers=2, deadline_seconds=3600.0)
+        p = Planner().plan(make_stats(1000), make_stats(1000), workload, algorithm=name)
+        for decision in ("algorithm", "executor", "governance"):
+            assert p.decision(decision).cost is not None, decision
+        assert "estimated_seconds" in p.decision("governance").detail_dict()
 
     def test_only_the_production_pair_is_auto_eligible(self):
         eligible = {name for name, p in COST_PROFILES.items() if p.auto_eligible}

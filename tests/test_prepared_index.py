@@ -14,8 +14,8 @@ import pytest
 from repro.core.base import JoinStats, PreparedIndex
 from repro.core.registry import (
     ALGORITHMS,
-    choose_algorithm_name,
     make_algorithm,
+    plan,
     prepare_index,
 )
 from repro.errors import AlgorithmError
@@ -207,7 +207,7 @@ class TestPrepareIndexRegistry:
     def test_auto_follows_regime_rule(self, batches):
         s, _, _ = batches
         index = prepare_index(s)
-        assert index.algorithm == choose_algorithm_name(s)
+        assert index.algorithm == plan(None, s).algorithm
 
     def test_explicit_algorithm_and_alias(self, batches):
         s, _, _ = batches

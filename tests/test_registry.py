@@ -7,7 +7,6 @@ import pytest
 from repro.core.base import JoinResult
 from repro.core.registry import (
     available_algorithms,
-    choose_algorithm_name,
     make_algorithm,
     set_containment_join,
 )
@@ -61,10 +60,6 @@ class TestTopLevelJoin:
         r = Relation.from_sets([set(range(120))])
         result = set_containment_join(r, s, algorithm="auto")
         assert result.stats.algorithm == "ptsj"
-
-    def test_choose_algorithm_name(self):
-        assert choose_algorithm_name(Relation.from_sets([{1}])) == "pretti+"
-        assert choose_algorithm_name(Relation.from_sets([set(range(64))])) == "ptsj"
 
     def test_unknown_algorithm_raises(self, table1_profiles, table1_preferences):
         with pytest.raises(AlgorithmError):

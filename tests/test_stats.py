@@ -47,22 +47,6 @@ class TestComputeStats:
         row = compute_stats(Relation.from_sets([{1, 2}])).as_table_row()
         assert set(row) == {"|R|", "c avg.", "c median", "d"}
 
-    def test_recommended_low_cardinality_is_pretti_plus(self):
-        rel = Relation.from_sets([{1, 2, 3}] * 5)
-        assert compute_stats(rel).recommended_algorithm() == "pretti+"
-
-    def test_recommended_high_cardinality_is_ptsj(self):
-        rel = Relation.from_sets([set(range(100))] * 5)
-        assert compute_stats(rel).recommended_algorithm() == "ptsj"
-
-    def test_recommendation_uses_median_not_average(self):
-        """Sec. V-C5: skewed cardinality -> decide on the median."""
-        # One huge set inflates the average; the median stays small.
-        sets = [{1, 2} for _ in range(9)] + [set(range(1000))]
-        st = compute_stats(Relation.from_sets(sets))
-        assert st.avg_cardinality > 32
-        assert st.recommended_algorithm() == "pretti+"
-
 
 def reference_scan(relation: Relation) -> RelationStats:
     """The two-pass, ``statistics``-module scan the planner used to run."""
